@@ -11,17 +11,13 @@
 // linearly and replay time with it. Rejoin latency is a few network RTTs
 // regardless (the restarted replica is only syncing, not re-executing).
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "bench_util.hpp"
-#include "cluster/driver.hpp"
 #include "cluster/free_run.hpp"
-#include "cluster/supervisor.hpp"
+#include "cluster/local_cluster.hpp"
 #include "sim/harness/spec_codec.hpp"
 #include "sim/scenario.hpp"
 
@@ -136,15 +132,6 @@ void file_backed(bench::JsonReport& json) {
 
 // --- live-cluster restart (free-running cluster) ----------------------------
 
-/// Directory of this binary, for locating the sibling tools/node build.
-std::filesystem::path self_dir() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  return std::filesystem::path(buf).parent_path();
-}
-
 /// One supervised free-running cluster run over loopback processes: every
 /// node self-drives rounds on real clocks over the peer mesh while the
 /// observer executes `plans` (SIGKILL, respawn from the node's persisted
@@ -154,57 +141,19 @@ struct FreeRun {
   double wall_ms = 0.0;
 };
 
-FreeRun run_free_cluster(const std::filesystem::path& node_bin,
-                         const sim::ScenarioConfig& cfg,
-                         const std::vector<cluster::CrashPlan>& plans,
-                         std::uint16_t peer_base, const std::string& tag) {
-  const std::size_t governors = cfg.topology.governors;
-  const crypto::Hash256 genesis = sim::config_genesis(cfg);
-  const auto scratch =
-      std::filesystem::temp_directory_path() /
-      ("repchain_bench_free_" + std::to_string(::getpid()) + "_" + tag);
-  std::filesystem::remove_all(scratch);
-  std::filesystem::create_directories(scratch);
-  const auto blob_path = scratch / "config.blob";
-  {
-    const Bytes blob = sim::encode_config(cfg);
-    std::ofstream out(blob_path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-  }
-
-  std::uint16_t port = 0;
-  const int listen_fd = cluster::listen_loopback(port);
-  cluster::ProcessSupervisor::Options sopts;
-  sopts.node_bin = node_bin.string();
-  sopts.config_blob = blob_path.string();
-  sopts.port = port;
-  sopts.state_root = (scratch / "state").string();
-  sopts.log_dir = (scratch / "logs").string();
-  sopts.extra_args = {"--free-run", "--peer-base=" + std::to_string(peer_base)};
-  cluster::ProcessSupervisor sup(sopts, governors);
-  const wire::Welcome local = cluster::driver_welcome(genesis);
-  auto conns = cluster::spawn_and_admit(sup, listen_fd, local, genesis,
-                                        governors, 15'000);
-
-  cluster::FreeRunDriver::Options fopts;
-  fopts.peer_base = peer_base;
-  cluster::FreeRunDriver driver(cfg, std::move(conns), fopts);
-  driver.set_supervision(
-      plans, [&sup](std::size_t i) { sup.kill(i); },
-      [&](std::size_t i, std::uint32_t incarnation) {
-        sup.spawn(i, incarnation);
-        return cluster::admit_node(listen_fd, local, genesis, governors, 15'000);
-      });
+FreeRun run_free(const std::filesystem::path& node_bin,
+                 const sim::ScenarioConfig& cfg,
+                 const std::vector<cluster::CrashPlan>& plans,
+                 std::uint16_t peer_base) {
+  cluster::LocalCluster nodes(cfg, {.node_bin = node_bin.string(),
+                                    .peer_base = peer_base});
+  cluster::FreeRunDriver driver(cfg, nodes, plans, /*grace_rounds=*/6);
   FreeRun run;
   const auto t0 = std::chrono::steady_clock::now();
   run.report = driver.run();
   run.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-  ::close(listen_fd);
-  for (std::size_t i = 0; i < governors; ++i) (void)sup.wait_exit(i);
-  std::filesystem::remove_all(scratch);
   return run;
 }
 
@@ -231,8 +180,7 @@ void cluster_restart(bench::JsonReport& json,
   for (std::size_t rounds : {std::size_t{6}, std::size_t{10}}) {
     const sim::ScenarioConfig cfg = free_config(rounds);
     const cluster::CrashPlan plan{0, 2, rounds / 2 + 1};
-    const FreeRun run = run_free_cluster(node_bin, cfg, {plan}, peer_base,
-                                         "restart_" + std::to_string(rounds));
+    const FreeRun run = run_free(node_bin, cfg, {plan}, peer_base);
     peer_base = static_cast<std::uint16_t>(peer_base + 64);
     const cluster::FreeRunReport& r = run.report;
 
@@ -284,10 +232,9 @@ void free_run_multi_crash(bench::JsonReport& json,
   for (const Series& sr : series) {
     const sim::ScenarioConfig cfg = free_config(6);
     const std::size_t governors = cfg.topology.governors;
-    cluster::validate_crash_plans(sr.plans, governors, cfg.rounds);
     const std::size_t min_live =
         cluster::min_live_governors(sr.plans, governors, cfg.rounds);
-    const FreeRun run = run_free_cluster(node_bin, cfg, sr.plans, peer_base, sr.name);
+    const FreeRun run = run_free(node_bin, cfg, sr.plans, peer_base);
     peer_base = static_cast<std::uint16_t>(peer_base + 64);
     const cluster::FreeRunReport& r = run.report;
 
@@ -326,7 +273,8 @@ int main() {
   bench::JsonReport json("recovery", 31);
   sweep(json);
   file_backed(json);
-  const std::filesystem::path node_bin = self_dir() / ".." / "tools" / "node";
+  const std::filesystem::path node_bin =
+      cluster::beside_executable("../tools/node");
   if (std::filesystem::exists(node_bin)) {
     std::uint16_t peer_base = 23100;
     cluster_restart(json, node_bin, peer_base);

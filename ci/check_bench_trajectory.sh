@@ -1,61 +1,62 @@
 #!/usr/bin/env bash
-# Bench trajectory guard: fail when a headline throughput metric regresses
-# more than the tolerance against the committed baseline.
+# Bench trajectory guard: fail when the median of repeated bench_throughput
+# runs regresses more than 20% against the committed baseline.
 #
-#   usage: check_bench_trajectory.sh <current.json> <baseline.json> [metric]
+#   usage: check_bench_trajectory.sh <baseline.json> <run.json>...
 #
-# Besides the primary metric, every socket_* rate field present in both
-# reports (socket_msgs_per_second, socket_mib_per_second, ...) is guarded at
-# the same tolerance, so a transport-layer regression fails the gate even
-# when protocol throughput holds.
+# Guarded: txs_per_wall_second plus every socket_* rate field in the
+# baseline and every run, so a transport-layer regression fails the gate
+# even when protocol throughput holds. Medians, because back-to-back runs of
+# unchanged code can spread past the tolerance on one machine.
 #
 # The baseline under ci/bench_baseline/ is a committed snapshot of a Release
 # run; refresh it deliberately (re-run the bench, commit the new JSON) when a
-# change legitimately moves the number. Tolerance is a percentage, default 20,
-# overridable via BENCH_TRAJECTORY_TOLERANCE for noisier runners.
+# change legitimately moves the number.
 set -euo pipefail
 
-current="${1:?usage: check_bench_trajectory.sh <current.json> <baseline.json> [metric]}"
-baseline="${2:?usage: check_bench_trajectory.sh <current.json> <baseline.json> [metric]}"
-metric="${3:-txs_per_wall_second}"
-tolerance="${BENCH_TRAJECTORY_TOLERANCE:-20}"
+usage="usage: check_bench_trajectory.sh <baseline.json> <run.json>..."
+baseline="${1:?$usage}"
+shift
+[[ $# -ge 1 ]] || { echo "$usage" >&2; exit 2; }
 
-python3 - "$current" "$baseline" "$metric" "$tolerance" <<'PY'
+python3 - "$baseline" "$@" <<'PY'
 import json
+import statistics
 import sys
 
-current_path, baseline_path, metric, tolerance = sys.argv[1:5]
-tolerance = float(tolerance)
+TOLERANCE = 20.0  # percent
+PRIMARY = "txs_per_wall_second"
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
-current = load(current_path)
+baseline_path, run_paths = sys.argv[1], sys.argv[2:]
 baseline = load(baseline_path)
-for name, report in (("current", current), ("baseline", baseline)):
-    if metric not in report:
-        sys.exit(f"trajectory guard: metric '{metric}' missing from {name} report")
+runs = [load(path) for path in run_paths]
+for name, report in [("baseline", baseline)] + list(zip(run_paths, runs)):
+    if PRIMARY not in report:
+        sys.exit(f"trajectory guard: metric '{PRIMARY}' missing from {name}")
 
-# The primary metric plus every socket-layer rate field the two reports
-# share: message-rate regressions in the transport must fail the gate too.
-metrics = [metric]
-metrics += sorted(
+metrics = [PRIMARY] + sorted(
     name for name in baseline
     if name.startswith("socket_") and name.endswith("_per_second")
-    and name in current and name not in metrics)
+    and all(name in run for run in runs))
 
 failures = []
 for name in metrics:
-    cur = float(current[name])
+    samples = [float(run[name]) for run in runs]
+    cur = statistics.median(samples)
     base = float(baseline[name])
-    floor = base * (1.0 - tolerance / 100.0)
-    print(f"trajectory guard: {name} current={cur:.1f} baseline={base:.1f} "
-          f"floor={floor:.1f} (tolerance {tolerance:.0f}%)")
+    floor = base * (1.0 - TOLERANCE / 100.0)
+    print(f"trajectory guard: {name} median={cur:.1f} of "
+          f"[{', '.join(f'{s:.1f}' for s in samples)}] baseline={base:.1f} "
+          f"floor={floor:.1f} (tolerance {TOLERANCE:.0f}%)")
     if cur < floor:
         failures.append(
-            f"trajectory guard: {name} regressed {100.0 * (1.0 - cur / base):.1f}% "
-            f"(> {tolerance:.0f}% allowed) vs committed baseline {baseline_path}")
+            f"trajectory guard: {name} median regressed "
+            f"{100.0 * (1.0 - cur / base):.1f}% (> {TOLERANCE:.0f}% allowed) "
+            f"vs committed baseline {baseline_path}")
 if failures:
     sys.exit("\n".join(failures))
 print("trajectory guard: ok")

@@ -141,8 +141,7 @@ void ClusterRun::sample_rewards() {
     sample.chain_empty = leader.chain_empty;
     if (!leader.chain_empty) {
       sample.head_valid_txs = leader.head_valid_txs;
-      sample.shares = decode_shares(
-          rpc(li, ClusterPacket::kQueryShares, {}, ClusterPacket::kShares));
+      sample.shares = leader.shares;
     }
   }
   observation_.sample_rewards(config_, sample);
@@ -151,11 +150,10 @@ void ClusterRun::sample_rewards() {
 void ClusterRun::run_audit(Round round) {
   // Same derive salt and draw order as Workload::run_audit: one shared
   // stream consumed in governor order.
-  Rng audit = rng_.derive(20'000 + round);
+  Rng audit = rng_.derive(sim::salt::audit(round));
   for (std::size_t i = 0; i < conns_.size(); ++i) {
-    const std::vector<ledger::TxId> ids = decode_txid_list(
-        rpc(i, ClusterPacket::kQueryUnrevealed, {}, ClusterPacket::kUnrevealed));
-    for (const ledger::TxId& id : ids) {
+    const GovernorState state = query_state(i);
+    for (const ledger::TxId& id : state.unrevealed) {
       if (audit.bernoulli(config_.audit_probability)) {
         apply_effects(i, rpc_done(i, ClusterPacket::kReveal,
                                   encode_reveal(queue_.now(), id)));

@@ -1,16 +1,12 @@
 #include "cluster/free_node.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 
+#include "cluster/free_run.hpp"
 #include "common/errors.hpp"
 #include "sim/harness/spec_codec.hpp"
 #include "storage/file_state_store.hpp"
@@ -18,17 +14,6 @@
 
 namespace repchain::cluster {
 namespace {
-
-sim::ScenarioConfig free_normalized(sim::ScenarioConfig config) {
-  sim::normalize_config(config);
-  sim::require_cluster_runnable(config);
-  if (!config.reliable_delivery) {
-    throw ConfigError(
-        "free-running node: reliable_delivery is required (no cross-process "
-        "atomic-broadcast sequencer exists off the lockstep plane)");
-  }
-  return config;
-}
 
 std::size_t free_checked_index(const sim::ScenarioConfig& config, std::size_t i) {
   if (i >= config.topology.governors) {
@@ -42,18 +27,6 @@ std::size_t free_checked_index(const sim::ScenarioConfig& config, std::size_t i)
 std::unique_ptr<storage::NodeStateStore> free_make_store(const std::string& dir) {
   if (dir.empty()) return nullptr;
   return std::make_unique<storage::FileStateStore>(dir);
-}
-
-runtime::TcpTransport::Options mesh_options(const sim::ScenarioConfig& config) {
-  runtime::TcpTransport::Options opts;
-  opts.max_delay = config.latency.max_delay;
-  // A crashed peer's link must heal well inside the ReliableChannel retry
-  // ladder, so the re-dial schedule is much tighter than the deployment
-  // defaults (rounds are hundreds of milliseconds, not seconds).
-  opts.auto_reconnect = true;
-  opts.reconnect_base = 25 * kMillisecond;
-  opts.reconnect_max = 250 * kMillisecond;
-  return opts;
 }
 
 std::uint16_t peer_port(std::uint16_t base, std::size_t index) {
@@ -93,17 +66,18 @@ void TraceCounters::on_event(const runtime::TraceEvent& ev) {
 FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_index,
                            std::uint16_t peer_base, const std::string& state_dir,
                            std::uint32_t incarnation)
-    : config_(free_normalized(std::move(config))),
+    : config_(free_run_normalized(std::move(config))),
       index_(free_checked_index(config_, governor_index)),
       incarnation_(incarnation),
       genesis_(sim::config_genesis(config_)),
       model_(sim::SystemModel::build(config_, Rng(config_.seed))),
       store_(free_make_store(state_dir)),
-      transport_(loop_, genesis_, mesh_options(config_)),
+      transport_(loop_, genesis_, free_run_mesh_options(config_)),
       broadcaster_(model_.directory.governor_nodes()),
       oracle_(config_.validation_cost),
       ctx_(model_.directory.node_of(GovernorId(static_cast<std::uint32_t>(index_))),
-           transport_, Rng(config_.seed).derive(2000 + index_), &counters_) {
+           transport_, Rng(config_.seed).derive(sim::salt::governor(index_)),
+           &counters_) {
   const GovernorId id(static_cast<std::uint32_t>(index_));
   protocol::GovernorConfig gc = config_.governor;
   gc.channel_epoch = incarnation_;
@@ -137,9 +111,7 @@ FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_inde
   for (std::size_t j = 0; j < index_; ++j) transport_.connect(peer_port(peer_base, j));
 }
 
-FreeNodeHost::~FreeNodeHost() {
-  if (control_fd_ >= 0) ::close(control_fd_);
-}
+FreeNodeHost::~FreeNodeHost() = default;
 
 HeadInfo FreeNodeHost::head() const {
   HeadInfo h;
@@ -166,32 +138,7 @@ FreeRunStats FreeNodeHost::stats() const {
   return s;
 }
 
-void FreeNodeHost::send_control(std::uint16_t type, BytesView payload) {
-  const Bytes frame = wire::encode_frame(type, payload);
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = ::send(control_fd_, frame.data() + off,
-                             frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Control replies are tiny and the driver drains promptly; a short
-        // blocking poll bridges a momentarily full socket buffer.
-        pollfd pfd{};
-        pfd.fd = control_fd_;
-        pfd.events = POLLOUT;
-        const int rc = ::poll(&pfd, 1, 5000);
-        if (rc > 0) continue;
-        throw NetError("free-node control send: driver stopped draining");
-      }
-      throw NetError(std::string("free-node control send: ") +
-                     std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-void FreeNodeHost::handle_control(const wire::Frame& frame) {
+void FreeNodeHost::handle_control(SyncConn& conn, const wire::Frame& frame) {
   switch (static_cast<ClusterPacket>(frame.type)) {
     case ClusterPacket::kRegisterTx: {
       // Acknowledged, unlike lockstep: mesh traffic does not share this
@@ -199,8 +146,8 @@ void FreeNodeHost::handle_control(const wire::Frame& frame) {
       // node has its truth.
       const RegisterTx reg = decode_register_tx(frame.payload);
       oracle_.register_tx(reg.id, reg.valid);
-      send_control(static_cast<std::uint16_t>(ClusterPacket::kDone),
-                   encode_effects({}));
+      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kDone),
+                      encode_effects({}));
       return;
     }
     case ClusterPacket::kFreeStart: {
@@ -218,13 +165,13 @@ void FreeNodeHost::handle_control(const wire::Frame& frame) {
       if (incarnation_ > 0) governor_->sync_chain();
       governor_->drive_rounds(s.first_round, loop_.now() + s.start_delay,
                               model_.timing);
-      send_control(static_cast<std::uint16_t>(ClusterPacket::kDone),
-                   encode_effects({}));
+      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kDone),
+                      encode_effects({}));
       return;
     }
     case ClusterPacket::kQueryFreeStats:
-      send_control(static_cast<std::uint16_t>(ClusterPacket::kFreeStats),
-                   encode_free_stats(stats()));
+      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kFreeStats),
+                      encode_free_stats(stats()));
       return;
     case ClusterPacket::kQueryBlockAt: {
       BlockHashInfo info;
@@ -233,13 +180,13 @@ void FreeNodeHost::handle_control(const wire::Frame& frame) {
         info.found = true;
         info.hash = block->hash();
       }
-      send_control(static_cast<std::uint16_t>(ClusterPacket::kBlockHash),
-                   encode_block_hash(info));
+      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kBlockHash),
+                      encode_block_hash(info));
       return;
     }
     case ClusterPacket::kShutdown:
-      send_control(static_cast<std::uint16_t>(ClusterPacket::kDone),
-                   encode_effects({}));
+      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kDone),
+                      encode_effects({}));
       done_ = true;
       return;
     default:
@@ -249,35 +196,24 @@ void FreeNodeHost::handle_control(const wire::Frame& frame) {
   }
 }
 
-void FreeNodeHost::on_control_readable() {
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(control_fd_, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      done_ = true;  // driver went away mid-read
-      return;
+void FreeNodeHost::drain_control(SyncConn& conn) {
+  try {
+    while (!done_) {
+      const std::optional<wire::Frame> frame = conn.try_recv_frame();
+      if (!frame) return;
+      handle_control(conn, *frame);
     }
-    if (n == 0) {
-      done_ = true;  // driver closed: nothing left to serve
-      return;
-    }
-    std::vector<wire::Frame> frames;
-    control_reader_.feed(BytesView(buf, static_cast<std::size_t>(n)), frames);
-    for (const wire::Frame& frame : frames) {
-      handle_control(frame);
-      if (done_) return;
-    }
-    if (static_cast<std::size_t>(n) < sizeof(buf)) break;
+  } catch (const wire::WireError& e) {
+    conn.send_error(e.code(), e.what());
+    throw;
+  } catch (const NetError&) {
+    done_ = true;  // driver went away: nothing left to serve
   }
 }
 
 void FreeNodeHost::run(int fd) {
-  control_fd_ = fd;
+  SyncConn conn(fd);
 
-  // Blocking handshake, SyncConn-style but without surrendering fd
-  // ownership: the same descriptor continues as a PollLoop watch.
   wire::Welcome local;
   local.genesis = genesis_;
   local.role = wire::Role::kNode;
@@ -286,48 +222,21 @@ void FreeNodeHost::run(int fd) {
   local.resume = incarnation_ > 0;
   local.incarnation = incarnation_;
   local.head_serial = head().serial;
-  send_control(static_cast<std::uint16_t>(wire::PacketType::kWelcome),
-               wire::encode_welcome(local));
-
-  std::vector<wire::Frame> frames;
-  while (frames.empty()) {
-    std::uint8_t buf[4096];
-    const ssize_t n = ::recv(control_fd_, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw NetError(std::string("free-node handshake recv: ") +
-                     std::strerror(errno));
-    }
-    if (n == 0) throw NetError("free-node handshake: connection closed");
-    control_reader_.feed(BytesView(buf, static_cast<std::size_t>(n)), frames);
-  }
-  const wire::Frame& first = frames.front();
-  if (first.type != static_cast<std::uint16_t>(wire::PacketType::kWelcome)) {
-    throw wire::WireError(wire::ProtocolError::kUnexpectedPacket,
-                          "free-running node: first packet was not a welcome");
-  }
-  const wire::Welcome remote = wire::decode_welcome(first.payload);
-  (void)wire::check_welcome(remote, genesis_);
+  const wire::Welcome remote = handshake(conn, local, genesis_);
   if (remote.role != wire::Role::kDriver) {
-    throw wire::WireError(wire::ProtocolError::kBadRole,
-                          "free-running node: peer is not a driver");
-  }
-  // Anything the driver pipelined behind its welcome is already decoded.
-  for (std::size_t i = 1; i < frames.size() && !done_; ++i) {
-    handle_control(frames[i]);
+    conn.refuse(wire::ProtocolError::kBadRole,
+                "free-running node: peer is not a driver");
   }
 
-  const int flags = ::fcntl(control_fd_, F_GETFL, 0);
-  (void)::fcntl(control_fd_, F_SETFL, flags | O_NONBLOCK);
-  loop_.watch(control_fd_, POLLIN, [this](short) { on_control_readable(); });
-
+  // Serve whatever the driver pipelined behind its welcome, then hand the
+  // socket to the loop.
+  drain_control(conn);
+  loop_.watch(conn.fd(), POLLIN, [this, &conn](short) { drain_control(conn); });
   while (!done_) {
     (void)loop_.run_until(loop_.now() + 100 * kMillisecond,
                           [this] { return done_; });
   }
-  loop_.unwatch(control_fd_);
-  ::close(control_fd_);
-  control_fd_ = -1;
+  loop_.unwatch(conn.fd());
 }
 
 }  // namespace repchain::cluster

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cluster/packets.hpp"
+#include "cluster/sync_conn.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "ledger/validation_oracle.hpp"
@@ -33,7 +34,6 @@
 #include "sim/harness/spec.hpp"
 #include "sim/harness/system_model.hpp"
 #include "storage/node_state_store.hpp"
-#include "wire/frame.hpp"
 
 namespace repchain::cluster {
 
@@ -89,7 +89,9 @@ class FreeNodeHost {
 
   /// Handshake on the control connection `fd` (taking ownership), then run
   /// the PollLoop — timers, peer sockets and control requests all on one
-  /// thread — until kShutdown or control EOF.
+  /// thread — until kShutdown or control EOF. Protocol violations, a refused
+  /// driver welcome included, notify the driver with a kError packet and
+  /// rethrow.
   void run(int fd);
 
   [[nodiscard]] const crypto::Hash256& genesis() const { return genesis_; }
@@ -97,11 +99,9 @@ class FreeNodeHost {
   [[nodiscard]] FreeRunStats stats() const;
 
  private:
-  void handle_control(const wire::Frame& frame);
-  void on_control_readable();
-  /// Write one frame to the control fd, looping over partial writes
-  /// (poll(POLLOUT) bridges EAGAIN on the non-blocking socket).
-  void send_control(std::uint16_t type, BytesView payload);
+  void handle_control(SyncConn& conn, const wire::Frame& frame);
+  /// Serve every control frame that has arrived, without blocking.
+  void drain_control(SyncConn& conn);
   [[nodiscard]] HeadInfo head() const;
 
   sim::ScenarioConfig config_;
@@ -118,8 +118,6 @@ class FreeNodeHost {
   runtime::NodeContext ctx_;
   std::unique_ptr<protocol::Governor> governor_;
 
-  int control_fd_ = -1;
-  wire::FrameReader control_reader_;
   bool done_ = false;
   // Mesh traffic held until the driver's kFreeStart. A respawned node's
   // listener is reachable the moment the transport binds, and survivors'

@@ -1,7 +1,10 @@
 #include "cluster/free_run.hpp"
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
@@ -13,26 +16,19 @@
 namespace repchain::cluster {
 namespace {
 
-sim::ScenarioConfig observer_normalized(sim::ScenarioConfig config) {
-  sim::normalize_config(config);
-  sim::require_cluster_runnable(config);
-  if (!config.reliable_delivery) {
-    throw ConfigError(
-        "free-run observer: reliable_delivery is required (run the config "
-        "through free_run_config first)");
-  }
-  return config;
-}
-
-runtime::TcpTransport::Options observer_mesh_options(
-    const sim::ScenarioConfig& config) {
-  runtime::TcpTransport::Options opts;
-  opts.max_delay = config.latency.max_delay;
-  opts.auto_reconnect = true;
-  opts.reconnect_base = 25 * kMillisecond;
-  opts.reconnect_max = 250 * kMillisecond;
-  return opts;
-}
+// Accepted committed-tx band, as fractions of the reference total scaled by
+// the rounds actually run.
+constexpr double kToleranceLo = 0.2;
+constexpr double kToleranceHi = 2.5;
+// Delay between the kFreeStart announcement and round 1's t0: covers the
+// announcement fan-out so every node starts near-aligned.
+constexpr SimDuration kStartCushion = 300 * kMillisecond;
+// Deadline for the peer mesh to reach every governor before starting.
+constexpr SimDuration kMeshDeadline = 5 * kSecond;
+// Respawn attempts per restart point before the victim is left dead.
+constexpr std::uint32_t kRestartAttempts = 3;
+// Bound on every control RPC: a hung node is marked dead, not waited on.
+constexpr std::uint64_t kRpcTimeoutUs = 10'000'000;
 
 }  // namespace
 
@@ -120,29 +116,56 @@ sim::ScenarioConfig free_run_config(sim::ScenarioConfig base) {
   return base;
 }
 
-FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
-                             std::vector<std::unique_ptr<SyncConn>> conns,
-                             Options opts)
-    : config_(observer_normalized(std::move(config))),
-      opts_(opts),
+sim::ScenarioConfig free_run_normalized(sim::ScenarioConfig config) {
+  sim::normalize_config(config);
+  sim::require_cluster_runnable(config);
+  if (!config.reliable_delivery) {
+    throw ConfigError(
+        "free-run: reliable_delivery is required (derive the config with "
+        "free_run_config: no cross-process atomic-broadcast sequencer exists "
+        "off the lockstep plane)");
+  }
+  return config;
+}
+
+runtime::TcpTransport::Options free_run_mesh_options(
+    const sim::ScenarioConfig& config) {
+  runtime::TcpTransport::Options opts;
+  opts.max_delay = config.latency.max_delay;
+  // A crashed peer's link must heal well inside the ReliableChannel retry
+  // ladder, so the re-dial schedule is much tighter than the deployment
+  // defaults (rounds are hundreds of milliseconds, not seconds).
+  opts.auto_reconnect = true;
+  opts.reconnect_base = 25 * kMillisecond;
+  opts.reconnect_max = 250 * kMillisecond;
+  return opts;
+}
+
+FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config, LocalCluster& cluster,
+                             std::vector<CrashPlan> plans, Round grace_rounds)
+    : config_(free_run_normalized(std::move(config))),
+      cluster_(cluster),
+      plans_(std::move(plans)),
+      grace_rounds_(grace_rounds),
       rng_(config_.seed),
       model_(sim::SystemModel::build(config_, Rng(config_.seed))),
       transport_(loop_, sim::config_genesis(config_),
-                 observer_mesh_options(config_)),
+                 free_run_mesh_options(config_)),
       upload_group_(transport_, model_.directory.governor_nodes()),
       oracle_(config_.validation_cost),
-      conns_(std::move(conns)) {
+      conns_(cluster.take_conns()) {
   if (conns_.size() != config_.topology.governors) {
     throw ConfigError("free-run observer: " + std::to_string(conns_.size()) +
                       " control connections for " +
                       std::to_string(config_.topology.governors) +
                       " governors");
   }
+  validate_crash_plans(plans_, conns_.size(), config_.rounds);
   alive_.assign(conns_.size(), true);
   incarnations_.assign(conns_.size(), 0);
   last_serial_.assign(conns_.size(), 0);
   report_.degradation.min_live = conns_.size();
-  for (auto& conn : conns_) conn->set_timeout(rpc_timeout_us_);
+  for (auto& conn : conns_) conn->set_timeout(kRpcTimeoutUs);
 
   // Forward every ground-truth registration to the node oracles. The hook
   // runs inside Provider::submit, before the transaction leaves the
@@ -161,7 +184,7 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
   for (std::size_t i = 0; i < topo.providers; ++i) {
     const ProviderId id(static_cast<std::uint32_t>(i));
     provider_ctxs_.emplace_back(model_.directory.node_of(id), transport_,
-                                rng_.derive(3000 + i));
+                                rng_.derive(sim::salt::provider(i)));
     providers_.emplace_back(id, provider_ctxs_.back(),
                             std::move(model_.provider_keys[i]), *model_.im,
                             oracle_, model_.directory, config_.providers_active,
@@ -178,7 +201,7 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
             ? protocol::CollectorBehavior::honest()
             : config_.behaviors[i % config_.behaviors.size()];
     collector_ctxs_.emplace_back(model_.directory.node_of(id), transport_,
-                                 rng_.derive(1000 + i));
+                                 rng_.derive(sim::salt::collector(i)));
     collectors_.emplace_back(id, collector_ctxs_.back(),
                              std::move(model_.collector_keys[i]), *model_.im,
                              oracle_, model_.directory, upload_group_, behavior,
@@ -194,25 +217,11 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config,
     for (auto& c : collectors_) c.on_peer_reconnected(peer);
   });
   for (std::size_t i = 0; i < topo.governors; ++i) {
-    transport_.connect(static_cast<std::uint16_t>(opts_.peer_base + i));
+    transport_.connect(static_cast<std::uint16_t>(cluster_.peer_base() + i));
   }
 }
 
 FreeRunDriver::~FreeRunDriver() = default;
-
-void FreeRunDriver::set_supervision(std::vector<CrashPlan> plans, KillFn kill,
-                                    RespawnFn respawn,
-                                    std::uint32_t max_restart_attempts,
-                                    std::uint64_t rpc_timeout_us) {
-  plans_ = std::move(plans);
-  kill_ = std::move(kill);
-  respawn_ = std::move(respawn);
-  max_restarts_ = max_restart_attempts;
-  rpc_timeout_us_ = rpc_timeout_us;
-  for (auto& conn : conns_) {
-    if (conn != nullptr) conn->set_timeout(rpc_timeout_us_);
-  }
-}
 
 std::size_t FreeRunDriver::live_count() const {
   std::size_t live = 0;
@@ -283,24 +292,22 @@ void FreeRunDriver::start_nodes() {
   // but starting the schedule blind would skew the whole first round.
   const std::vector<NodeId>& governors = model_.directory.governor_nodes();
   const bool reached =
-      loop_.run_until(loop_.now() + opts_.mesh_deadline, [&] {
+      loop_.run_until(loop_.now() + kMeshDeadline, [&] {
         return std::all_of(governors.begin(), governors.end(),
                            [&](NodeId g) { return transport_.reaches(g); });
       });
   if (!reached) {
     throw NetError("free-run: peer mesh did not reach every governor node");
   }
-  round_start_ = loop_.now() + opts_.start_cushion;
+  round_start_ = loop_.now() + kStartCushion;
   for (std::size_t i = 0; i < conns_.size(); ++i) {
     FreeStart s;
     s.first_round = 1;
     // Re-derived per node: each one measures the delay from its own receive
     // instant, so the fan-out time of earlier announcements cancels out.
     s.start_delay = round_start_ - loop_.now();
-    conns_[i]->send_frame(static_cast<std::uint16_t>(ClusterPacket::kFreeStart),
-                          encode_free_start(s));
-    const wire::Frame reply = conns_[i]->recv_frame();
-    if (reply.type != static_cast<std::uint16_t>(ClusterPacket::kDone)) {
+    if (!try_query(i, ClusterPacket::kFreeStart, encode_free_start(s),
+                   ClusterPacket::kDone)) {
       throw NetError("free-run: node " + std::to_string(i) +
                      " rejected the start announcement");
     }
@@ -312,7 +319,7 @@ void FreeRunDriver::inject_workload(Round round) {
   // reference simulation saw is reproduced tx for tx; only the delivery
   // fabric differs. Draws happen up front (provider-major), submissions are
   // spread at the same 1 ms spacing as loop timers.
-  Rng workload = rng_.derive(10'000 + round);
+  Rng workload = rng_.derive(sim::salt::workload(round));
   struct Draw {
     std::size_t provider;
     Bytes payload;
@@ -341,7 +348,7 @@ void FreeRunDriver::kill_due_victims() {
     if (round_ != plan.kill_round || !alive_[plan.victim]) continue;
     // SIGKILL mid-round: the victim's in-memory state (and its peer mesh
     // endpoint) vanish; survivors' channels retransmit into the gap.
-    kill_(plan.victim);
+    cluster_.kill(plan.victim);
     mark_dead(plan.victim);
     if (report_.killed_at == 0) report_.killed_at = loop_.now();
   }
@@ -350,16 +357,17 @@ void FreeRunDriver::kill_due_victims() {
 void FreeRunDriver::respawn_victim(std::size_t victim) {
   const std::uint32_t incarnation = ++incarnations_[victim];
   std::unique_ptr<SyncConn> conn;
-  for (std::uint32_t a = 0; a < max_restarts_ && conn == nullptr; ++a) {
+  for (std::uint32_t a = 0; a < kRestartAttempts && conn == nullptr; ++a) {
     ++report_.restart_attempts;
     try {
-      conn = respawn_(victim, incarnation);
-    } catch (const std::exception&) {
-      conn = nullptr;
+      conn = cluster_.respawn(victim, incarnation);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "free-run: respawn of node %zu failed: %s\n",
+                   victim, e.what());
     }
   }
   if (conn == nullptr) return;  // stays dead; the convergence check fails
-  conn->set_timeout(rpc_timeout_us_);
+  conn->set_timeout(kRpcTimeoutUs);
   conns_[victim] = std::move(conn);
   alive_[victim] = true;
   // Fresh process, empty oracle replica: replay the ground truth before the
@@ -383,18 +391,9 @@ void FreeRunDriver::respawn_victim(std::size_t victim) {
   }
   s.first_round = first;
   s.start_delay = start - loop_.now();
-  try {
-    conns_[victim]->send_frame(
-        static_cast<std::uint16_t>(ClusterPacket::kFreeStart),
-        encode_free_start(s));
-    const wire::Frame reply = conns_[victim]->recv_frame();
-    if (reply.type != static_cast<std::uint16_t>(ClusterPacket::kDone)) {
-      mark_dead(victim);
-      return;
-    }
-  } catch (const std::exception&) {
-    mark_dead(victim);
-    return;
+  if (!try_query(victim, ClusterPacket::kFreeStart, encode_free_start(s),
+                 ClusterPacket::kDone)) {
+    return;  // marked dead
   }
   report_.rejoined_at = loop_.now();
   report_.degradation.last_restart_round = round_;
@@ -496,8 +495,14 @@ void FreeRunDriver::shutdown_nodes() {
                             Bytes{});
       (void)conns_[i]->recv_frame();
     } catch (const std::exception&) {
+      cluster_.kill(i);  // unresponsive: do not wait on its exit
     }
     conns_[i].reset();
+    const int status = cluster_.wait_exit(i);
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      std::fprintf(stderr, "free-run: node %zu exited abnormally (status %d)\n",
+                   i, status);
+    }
   }
 }
 
@@ -512,7 +517,7 @@ FreeRunReport FreeRunDriver::run() {
   }
   start_nodes();
   const Round configured = static_cast<Round>(config_.rounds);
-  while (round_ < configured + opts_.grace_rounds && !report_.converged) {
+  while (round_ < configured + grace_rounds_ && !report_.converged) {
     run_round();
   }
   report_.rounds_run = round_;
@@ -531,14 +536,13 @@ FreeRunReport FreeRunDriver::run() {
           ? static_cast<double>(report_.rounds_run) / config_.rounds
           : 1.0;
   const double expected = static_cast<double>(report_.reference_txs) * scale;
-  report_.tolerance_lo =
-      static_cast<std::uint64_t>(expected * opts_.tolerance_lo);
-  report_.tolerance_hi =
-      static_cast<std::uint64_t>(expected * opts_.tolerance_hi) + 1;
+  report_.tolerance_lo = static_cast<std::uint64_t>(expected * kToleranceLo);
+  report_.tolerance_hi = static_cast<std::uint64_t>(expected * kToleranceHi) + 1;
   report_.txs_in_tolerance = report_.converged &&
                              report_.committed_txs >= report_.tolerance_lo &&
                              report_.committed_txs <= report_.tolerance_hi;
   shutdown_nodes();
+  report_.degradation.spontaneous_exits = cluster_.spontaneous_exits();
   return report_;
 }
 

@@ -20,13 +20,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/local_cluster.hpp"
 #include "cluster/packets.hpp"
 #include "cluster/sync_conn.hpp"
 #include "common/rng.hpp"
@@ -89,7 +89,7 @@ struct DegradationReport {
   SimTime stall_last = 0;         // clock of the last stall observation
   Round last_restart_round = 0;   // round of the final respawn
   Round rounds_to_recover = 0;    // converged_round - last_restart_round
-  std::uint32_t spontaneous_exits = 0;  // from ProcessSupervisor::report()
+  std::uint32_t spontaneous_exits = 0;  // LocalCluster::spontaneous_exits()
 };
 
 /// Derive the free-running variant of a golden scenario config. The lockstep
@@ -100,6 +100,14 @@ struct DegradationReport {
 /// schedule). Both the observer and every node process run the same derived
 /// config, so the config-genesis admission check still binds them.
 [[nodiscard]] sim::ScenarioConfig free_run_config(sim::ScenarioConfig base);
+
+/// Normalize a free-run config; throws ConfigError unless it is
+/// cluster-runnable with reliable delivery. Nodes and observer both apply it.
+[[nodiscard]] sim::ScenarioConfig free_run_normalized(sim::ScenarioConfig config);
+
+/// Peer-mesh transport options shared by free-run nodes and the observer.
+[[nodiscard]] runtime::TcpTransport::Options free_run_mesh_options(
+    const sim::ScenarioConfig& config);
 
 /// Outcome of a free-running run, judged by the statistical contract.
 struct FreeRunReport {
@@ -126,54 +134,22 @@ struct FreeRunReport {
   }
 };
 
-/// One free-running cluster run. `conns[i]` must be the already-handshaken
-/// control connection to the process hosting governor i (spawned with
-/// --free-run against the same derived config).
+/// One free-running cluster run over the nodes of `cluster`, launched with
+/// a peer base against the same derived config.
 class FreeRunDriver {
  public:
-  struct Options {
-    /// Node i's peer mesh listens on peer_base + i; the observer dials all.
-    std::uint16_t peer_base = 0;
-    /// Extra full rounds (workload included) granted past the configured
-    /// count for heads to agree after faults.
-    Round grace_rounds = 6;
-    /// Accepted committed-tx band, as fractions of the reference total
-    /// scaled by rounds actually run.
-    double tolerance_lo = 0.2;
-    double tolerance_hi = 2.5;
-    /// Delay between the kFreeStart announcement and round 1's t0: covers
-    /// the announcement fan-out so every node starts near-aligned.
-    SimDuration start_cushion = 300 * kMillisecond;
-    /// Deadline for the peer mesh to reach every governor before starting.
-    SimDuration mesh_deadline = 5 * kSecond;
-  };
-
-  FreeRunDriver(sim::ScenarioConfig config,
-                std::vector<std::unique_ptr<SyncConn>> conns, Options opts);
+  /// `plans` is the crash schedule, validated here (validate_crash_plans);
+  /// `grace_rounds` extra full rounds, workload included, are granted past
+  /// the configured count for heads to agree after faults.
+  FreeRunDriver(sim::ScenarioConfig config, LocalCluster& cluster,
+                std::vector<CrashPlan> plans, Round grace_rounds);
   ~FreeRunDriver();
 
   FreeRunDriver(const FreeRunDriver&) = delete;
   FreeRunDriver& operator=(const FreeRunDriver&) = delete;
 
-  /// Kills the victim process (SIGKILL, no RPC goodbye).
-  using KillFn = std::function<void(std::size_t index)>;
-  /// Respawns governor `index` as incarnation `incarnation` against its
-  /// persisted state directory and returns the admitted control connection;
-  /// throws or returns null on a failed attempt.
-  using RespawnFn = std::function<std::unique_ptr<SyncConn>(
-      std::size_t index, std::uint32_t incarnation)>;
-
-  /// Install the multi-victim crash schedule (validated with
-  /// validate_crash_plans). A failed respawn is retried up to
-  /// `max_restart_attempts` times per restart point; every control RPC is
-  /// bounded by `rpc_timeout_us`.
-  void set_supervision(std::vector<CrashPlan> plans, KillFn kill,
-                       RespawnFn respawn,
-                       std::uint32_t max_restart_attempts = 3,
-                       std::uint64_t rpc_timeout_us = 10'000'000);
-
   /// Run the configured rounds (plus grace), enforce the statistical
-  /// contract, shut the nodes down, and report.
+  /// contract, shut the nodes down and reap them, and report.
   [[nodiscard]] FreeRunReport run();
 
  private:
@@ -198,7 +174,9 @@ class FreeRunDriver {
   void shutdown_nodes();
 
   sim::ScenarioConfig config_;
-  Options opts_;
+  LocalCluster& cluster_;
+  std::vector<CrashPlan> plans_;
+  Round grace_rounds_;
   Rng rng_;
   sim::SystemModel model_;
   runtime::PollLoop loop_;
@@ -213,11 +191,6 @@ class FreeRunDriver {
   std::vector<std::unique_ptr<SyncConn>> conns_;
   std::vector<bool> alive_;
   std::vector<std::uint32_t> incarnations_;
-  std::vector<CrashPlan> plans_;
-  KillFn kill_;
-  RespawnFn respawn_;
-  std::uint32_t max_restarts_ = 3;
-  std::uint64_t rpc_timeout_us_ = 10'000'000;
 
   Round round_ = 0;
   SimTime round_start_ = 0;  // observer-clock t0 of the current round

@@ -104,7 +104,8 @@ NodeHost::NodeHost(sim::ScenarioConfig config, std::size_t governor_index)
       trace_(effects_),
       oracle_(config_.validation_cost),
       ctx_(model_.directory.node_of(GovernorId(static_cast<std::uint32_t>(index_))),
-           transport_, Rng(config_.seed).derive(2000 + index_), &trace_) {
+           transport_, Rng(config_.seed).derive(sim::salt::governor(index_)),
+           &trace_) {
   governor_ = std::make_unique<protocol::Governor>(
       GovernorId(static_cast<std::uint32_t>(index_)), ctx_,
       model_.governor_keys[index_], *model_.im, oracle_, model_.directory,
@@ -132,6 +133,8 @@ GovernorState NodeHost::state() const {
       if (rec.status != ledger::TxStatus::kUncheckedInvalid) ++s.head_valid_txs;
     }
   }
+  s.shares = governor_->revenue_shares();
+  s.unrevealed = governor_->unrevealed_unchecked();
   return s;
 }
 
@@ -183,14 +186,6 @@ void NodeHost::handle(SyncConn& conn, const wire::Frame& frame, bool& done) {
       conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kState),
                       encode_state(state()));
       return;
-    case ClusterPacket::kQueryShares:
-      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kShares),
-                      encode_shares(governor_->revenue_shares()));
-      return;
-    case ClusterPacket::kQueryUnrevealed:
-      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kUnrevealed),
-                      encode_txid_list(governor_->unrevealed_unchecked()));
-      return;
     case ClusterPacket::kSnapshot:
       conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kSnapshotData),
                       encode_snapshot(snapshot()));
@@ -216,9 +211,8 @@ void NodeHost::serve(int fd) {
   local.hosted = {governor_->node()};
   const wire::Welcome remote = handshake(conn, local, genesis_);
   if (remote.role != wire::Role::kDriver) {
-    conn.send_error(wire::ProtocolError::kBadRole, "expected the driver");
-    throw wire::WireError(wire::ProtocolError::kBadRole,
-                          "cluster node: peer is not a driver");
+    conn.refuse(wire::ProtocolError::kBadRole,
+                "cluster node: peer is not a driver");
   }
 
   bool done = false;

@@ -125,6 +125,13 @@ Bytes encode_state(const GovernorState& s) {
   w.u64(s.validations);
   w.boolean(s.chain_empty);
   w.u64(s.head_valid_txs);
+  w.u32(static_cast<std::uint32_t>(s.shares.size()));
+  for (const auto& [c, share] : s.shares) {
+    w.u32(c.value());
+    w.f64(share);
+  }
+  w.u32(static_cast<std::uint32_t>(s.unrevealed.size()));
+  for (const ledger::TxId& id : s.unrevealed) w.raw(view(id));
   return std::move(w).take();
 }
 
@@ -139,6 +146,20 @@ GovernorState decode_state(BytesView data) {
     s.validations = r.u64();
     s.chain_empty = r.boolean();
     s.head_valid_txs = r.u64();
+    const std::uint32_t shares = r.u32();
+    r.expect_count(shares, 12);
+    s.shares.reserve(shares);
+    for (std::uint32_t i = 0; i < shares; ++i) {
+      const CollectorId c(r.u32());
+      const double share = r.f64();
+      s.shares.emplace_back(c, share);
+    }
+    const std::uint32_t unrevealed = r.u32();
+    r.expect_count(unrevealed, 32);
+    s.unrevealed.reserve(unrevealed);
+    for (std::uint32_t i = 0; i < unrevealed; ++i) {
+      s.unrevealed.push_back(r.raw_array<32>());
+    }
     return s;
   });
 }
@@ -260,49 +281,6 @@ std::pair<SimTime, ledger::TxId> decode_reveal(BytesView data) {
     const SimTime now = r.u64();
     const ledger::TxId id = r.raw_array<32>();
     return std::pair<SimTime, ledger::TxId>{now, id};
-  });
-}
-
-Bytes encode_shares(const std::vector<std::pair<CollectorId, double>>& shares) {
-  BinaryWriter w;
-  w.u32(static_cast<std::uint32_t>(shares.size()));
-  for (const auto& [c, share] : shares) {
-    w.u32(c.value());
-    w.f64(share);
-  }
-  return std::move(w).take();
-}
-
-std::vector<std::pair<CollectorId, double>> decode_shares(BytesView data) {
-  return decode_exact(data, [](BinaryReader& r) {
-    const std::uint32_t n = r.u32();
-    r.expect_count(n, 12);
-    std::vector<std::pair<CollectorId, double>> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const CollectorId c(r.u32());
-      const double share = r.f64();
-      out.emplace_back(c, share);
-    }
-    return out;
-  });
-}
-
-Bytes encode_txid_list(const std::vector<ledger::TxId>& ids) {
-  BinaryWriter w;
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const ledger::TxId& id : ids) w.raw(view(id));
-  return std::move(w).take();
-}
-
-std::vector<ledger::TxId> decode_txid_list(BytesView data) {
-  return decode_exact(data, [](BinaryReader& r) {
-    const std::uint32_t n = r.u32();
-    r.expect_count(n, 32);
-    std::vector<ledger::TxId> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) out.push_back(r.raw_array<32>());
-    return out;
   });
 }
 

@@ -31,7 +31,8 @@ namespace repchain::cluster {
 /// typed replies. kRegisterTx is fire-and-forget in lockstep — the socket's
 /// FIFO puts it ahead of any later delivery that could validate the
 /// transaction — and answered with kDone by a free-running node, whose mesh
-/// traffic does not share that FIFO.
+/// traffic does not share that FIFO. Numbers are wire-stable: a gap is a
+/// retired type, never to be reused.
 enum class ClusterPacket : std::uint16_t {
   // driver -> node
   kRegisterTx = 16,  // ground-truth forwarding
@@ -40,8 +41,6 @@ enum class ClusterPacket : std::uint16_t {
   kArmRound = 19,    // Governor::arm_round(round, t0, timing)
   kReveal = 20,      // audit: reveal_unchecked(txid)
   kQueryState = 21,
-  kQueryShares = 22,
-  kQueryUnrevealed = 23,
   kSnapshot = 24,  // end-of-run chain + metrics
   kShutdown = 25,
   kFreeStart = 28,      // free-run: self-drive rounds from an aligned t0
@@ -50,8 +49,6 @@ enum class ClusterPacket : std::uint16_t {
   // node -> driver
   kDone = 32,   // effects recorded while serving the request
   kState = 33,  // GovernorState
-  kShares = 34,
-  kUnrevealed = 35,
   kSnapshotData = 36,  // GovernorSnapshotData
   kFreeStats = 38,     // FreeRunStats
   kBlockHash = 39,     // BlockHashInfo
@@ -87,7 +84,9 @@ struct Effect {
 [[nodiscard]] Bytes encode_effects(const std::vector<Effect>& effects);
 [[nodiscard]] std::vector<Effect> decode_effects(BytesView data);
 
-/// kQueryState reply: the live counters Observation probes each round.
+/// kQueryState reply: everything the lockstep driver reads of a node's
+/// state — the counters Observation probes each round, the reward sample's
+/// head block and revenue split, and the audit's unrevealed draws.
 struct GovernorState {
   std::optional<GovernorId> leader;
   double expected_loss = 0.0;
@@ -95,6 +94,8 @@ struct GovernorState {
   std::uint64_t validations = 0;  // the node-local oracle's count
   bool chain_empty = true;
   std::uint64_t head_valid_txs = 0;  // head-block txs not kUncheckedInvalid
+  std::vector<std::pair<CollectorId, double>> shares;  // revenue_shares()
+  std::vector<ledger::TxId> unrevealed;  // unrevealed_unchecked()
 };
 
 [[nodiscard]] Bytes encode_state(const GovernorState& s);
@@ -153,15 +154,6 @@ struct ArmRound {
 /// kReveal: clock + the tx to reveal.
 [[nodiscard]] Bytes encode_reveal(SimTime now, const ledger::TxId& id);
 [[nodiscard]] std::pair<SimTime, ledger::TxId> decode_reveal(BytesView data);
-
-/// kShares reply (also reused for kUnrevealed via the TxId list codec).
-[[nodiscard]] Bytes encode_shares(
-    const std::vector<std::pair<CollectorId, double>>& shares);
-[[nodiscard]] std::vector<std::pair<CollectorId, double>> decode_shares(
-    BytesView data);
-
-[[nodiscard]] Bytes encode_txid_list(const std::vector<ledger::TxId>& ids);
-[[nodiscard]] std::vector<ledger::TxId> decode_txid_list(BytesView data);
 
 // --- Free-running mode -------------------------------------------------------
 

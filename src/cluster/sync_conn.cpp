@@ -50,7 +50,11 @@ void SyncConn::send_frame(std::uint16_t type, BytesView payload) {
   }
 }
 
-wire::Frame SyncConn::recv_frame() {
+wire::Frame SyncConn::recv_frame() { return *read_frame(true); }
+
+std::optional<wire::Frame> SyncConn::try_recv_frame() { return read_frame(false); }
+
+std::optional<wire::Frame> SyncConn::read_frame(bool block) {
   while (true) {
     if (next_ < pending_.size()) {
       wire::Frame f = std::move(pending_[next_++]);
@@ -61,12 +65,14 @@ wire::Frame SyncConn::recv_frame() {
       return f;
     }
     std::uint8_t buf[64 * 1024];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), block ? 0 : MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        if (!block) return std::nullopt;
         throw wire::WireError(wire::ProtocolError::kPeerTimeout,
                               "cluster recv: deadline expired");
+      }
       throw NetError(std::string("cluster recv: ") + std::strerror(errno));
     }
     if (n == 0) throw NetError("cluster recv: connection closed");
@@ -87,6 +93,11 @@ void SyncConn::send_error(wire::ProtocolError code,
   }
 }
 
+void SyncConn::refuse(wire::ProtocolError code, const std::string& detail) {
+  send_error(code, detail);
+  throw wire::WireError(code, detail);
+}
+
 wire::Welcome handshake(SyncConn& conn, const wire::Welcome& local,
                         const crypto::Hash256& genesis) {
   conn.send_frame(static_cast<std::uint16_t>(wire::PacketType::kWelcome),
@@ -97,10 +108,8 @@ wire::Welcome handshake(SyncConn& conn, const wire::Welcome& local,
     throw wire::WireError(err.code, "peer rejected handshake: " + err.detail);
   }
   if (frame.type != static_cast<std::uint16_t>(wire::PacketType::kWelcome)) {
-    conn.send_error(wire::ProtocolError::kUnexpectedPacket,
-                    "expected a welcome");
-    throw wire::WireError(wire::ProtocolError::kUnexpectedPacket,
-                          "first packet was not a welcome");
+    conn.refuse(wire::ProtocolError::kUnexpectedPacket,
+                "first packet was not a welcome");
   }
   try {
     const wire::Welcome remote = wire::decode_welcome(frame.payload);

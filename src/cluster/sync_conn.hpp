@@ -4,10 +4,13 @@
 // dialogue is strictly request/reply in lockstep with the master event
 // loop, so unlike the TcpTransport mesh there is nothing to multiplex:
 // plain blocking reads and writes (looped over partial transfers) keep the
-// control flow linear. Frames and the welcome admission check are the same
-// wire-layer machinery the mesh uses.
+// control flow linear. A free-running node, whose thread belongs to its
+// PollLoop, watches the same socket and drains it without blocking. Frames
+// and the welcome admission check are the same wire-layer machinery the
+// mesh uses.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "crypto/sha256.hpp"
@@ -42,13 +45,23 @@ class SyncConn {
   /// WireError(kPeerTimeout) when a deadline is set and nothing arrives.
   [[nodiscard]] wire::Frame recv_frame();
 
+  /// Non-blocking variant for a socket a PollLoop watches: the next frame
+  /// already buffered or arrived, or nullopt when the socket has nothing
+  /// more right now. Throws like recv_frame.
+  [[nodiscard]] std::optional<wire::Frame> try_recv_frame();
+
   /// Best-effort kError notification before dropping the connection; never
   /// throws (the caller is already unwinding).
   void send_error(wire::ProtocolError code, const std::string& detail) noexcept;
 
+  /// Refuse the peer: send_error, then throw WireError(code, detail).
+  [[noreturn]] void refuse(wire::ProtocolError code, const std::string& detail);
+
   [[nodiscard]] int fd() const { return fd_; }
 
  private:
+  [[nodiscard]] std::optional<wire::Frame> read_frame(bool block);
+
   int fd_;
   wire::FrameReader reader_;
   std::vector<wire::Frame> pending_;

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/errors.hpp"
+#include "runtime/loopback.hpp"
 #include "wire/codec.hpp"
 
 namespace repchain::runtime {
@@ -86,24 +87,8 @@ void TcpTransport::set_handler(NodeId id, Handler handler) {
 
 std::uint16_t TcpTransport::listen(std::uint16_t port) {
   if (listen_fd_ >= 0) throw NetError("tcp: already listening");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw NetError("tcp: socket() failed");
-  const int one = 1;
-  (void)setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    throw NetError("tcp: bind() failed: " + std::string(strerror(errno)));
-  }
-  socklen_t len = sizeof(addr);
-  (void)getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  if (::listen(fd, 16) < 0) {
-    ::close(fd);
-    throw NetError("tcp: listen() failed");
-  }
+  std::uint16_t bound = 0;
+  const int fd = listen_loopback(port, &bound);
   set_nonblocking(fd);
   listen_fd_ = fd;
   loop_.watch(fd, POLLIN, [this](short) {
@@ -114,7 +99,7 @@ std::uint16_t TcpTransport::listen(std::uint16_t port) {
       adopt(cfd);
     }
   });
-  return ntohs(addr.sin_port);
+  return bound;
 }
 
 void TcpTransport::connect(std::uint16_t port) {

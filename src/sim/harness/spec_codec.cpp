@@ -1,5 +1,7 @@
 #include "sim/harness/spec_codec.hpp"
 
+#include <string>
+
 #include "common/errors.hpp"
 #include "common/serial.hpp"
 
@@ -10,6 +12,31 @@ namespace {
 // cross_shard_probability / bounded_history. The version byte leads the
 // encoding, so v1 and v2 universes can never present the same genesis hash.
 constexpr std::uint8_t kConfigVersion = 2;
+
+/// Crash and adversary plans index the live node arrays directly, so an
+/// index past its topology count must never reach the harness.
+void validate_plans(const ScenarioConfig& config) {
+  const auto& topo = config.topology;
+  const auto check = [](const char* what, std::size_t index, std::size_t count) {
+    if (index >= count)
+      throw ConfigError(std::string(what) + " index " + std::to_string(index) +
+                        " out of range (" + std::to_string(count) + ")");
+  };
+  for (const CrashPlan& plan : config.crashes) {
+    check("crash plan governor", plan.governor, topo.governors);
+    if (plan.crash_round == 0 || plan.restart_round <= plan.crash_round)
+      throw ConfigError("crash plan: needs 1 <= crash_round < restart_round");
+  }
+  const auto& adv = config.adversary;
+  for (const auto& s : adv.equivocating_leaders)
+    check("equivocating leader", s.governor, topo.governors);
+  for (const auto& s : adv.lying_sync_peers)
+    check("lying sync peer", s.governor, topo.governors);
+  for (const auto& s : adv.byzantine_collectors)
+    check("Byzantine collector", s.collector, topo.collectors);
+  for (const auto& s : adv.double_spenders)
+    check("double spender", s.provider, topo.providers);
+}
 
 }  // namespace
 
@@ -36,6 +63,7 @@ void require_cluster_runnable(const ScenarioConfig& c) {
 void normalize_config(ScenarioConfig& config) {
   config.topology.validate();
   config.governor.rep.validate();
+  validate_plans(config);
   if (config.shard_count == 0)
     throw ConfigError("shard_count must be >= 1");
   if (config.shard_count > config.topology.governors)

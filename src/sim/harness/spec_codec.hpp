@@ -18,7 +18,9 @@ namespace repchain::sim {
 /// Validate the spec and apply the implied-flag rules in place (idempotent):
 /// scenario-level gossip/reliable mirror into GovernorConfig, a scheduled
 /// adversary switches the paired defenses on, fault schedules default the
-/// liveness watchdog on.
+/// liveness watchdog on. Throws ConfigError on an invalid spec, including a
+/// crash or adversary plan naming a node past its topology count, a crash in
+/// round 0, or a restart not after its crash.
 void normalize_config(ScenarioConfig& config);
 
 /// Throws ConfigError on features the canonical encoding cannot express:

@@ -8,6 +8,8 @@
 // material without a network or any live object. The derive() salts and the
 // draw order inside each stream are part of the pinned-seed contract.
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -21,6 +23,19 @@
 #include "sim/harness/spec.hpp"
 
 namespace repchain::sim {
+
+/// derive() salts of the scenario Rng's per-node and per-round child
+/// streams. Every host that builds a node or replays a round — Wiring,
+/// Workload, the cluster driver, observer and node processes — draws from
+/// these, so they belong to the pinned-seed contract: changing one moves
+/// every golden.
+namespace salt {
+[[nodiscard]] constexpr std::uint64_t collector(std::size_t i) { return 1000 + i; }
+[[nodiscard]] constexpr std::uint64_t governor(std::size_t i) { return 2000 + i; }
+[[nodiscard]] constexpr std::uint64_t provider(std::size_t i) { return 3000 + i; }
+[[nodiscard]] constexpr std::uint64_t workload(Round round) { return 10'000 + round; }
+[[nodiscard]] constexpr std::uint64_t audit(Round round) { return 20'000 + round; }
+}  // namespace salt
 
 struct SystemModel {
   std::unique_ptr<identity::IdentityManager> im;

@@ -57,7 +57,7 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
   for (std::size_t i = 0; i < topo.providers; ++i) {
     const ProviderId id(static_cast<std::uint32_t>(i));
     provider_ctxs_.emplace_back(directory_.node_of(id), *transport_,
-                                rng_.derive(3000 + i));
+                                rng_.derive(salt::provider(i)));
     providers_.emplace_back(id, provider_ctxs_.back(), std::move(provider_keys[i]),
                             *im_, *oracle_,
                             shard_directories_[router_.shard_of(id).value()],
@@ -76,7 +76,7 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
     // Sharded collectors get the trace sink (cross-shard rejects are round
     // observations); classic ones keep their sink-less context as before.
     collector_ctxs_.emplace_back(directory_.node_of(id), *transport_,
-                                 rng_.derive(1000 + i),
+                                 rng_.derive(salt::collector(i)),
                                  config_.shard_count > 1
                                      ? static_cast<runtime::TraceSink*>(&observer)
                                      : nullptr);
@@ -110,7 +110,7 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
       }
     }
     governor_ctxs_.emplace_back(directory_.node_of(id), *transport_,
-                                rng_.derive(2000 + i), &observer);
+                                rng_.derive(salt::governor(i)), &observer);
     governors_.emplace_back();
     governor_epochs_.push_back(0);
     if (remote_ == nullptr) make_governor(i);  // remote: slot stays null

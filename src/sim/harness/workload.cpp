@@ -1,11 +1,12 @@
 #include "sim/harness/workload.hpp"
 
+#include "sim/harness/system_model.hpp"
 #include "sim/harness/wiring.hpp"
 
 namespace repchain::sim {
 
 void Workload::inject(Round round) {
-  Rng workload = rng_.derive(10'000 + round);
+  Rng workload = rng_.derive(salt::workload(round));
   // cross_shard_probability == 0 must not touch the workload stream at all
   // (no gating draw), so classic runs replay byte-identically.
   const bool cross_enabled = config_.cross_shard_probability > 0.0;
@@ -37,7 +38,7 @@ void Workload::inject(Round round) {
 void Workload::run_audit(Round round) {
   // One shared stream consumed in governor order keeps the draw sequence
   // deterministic.
-  Rng audit = rng_.derive(20'000 + round);
+  Rng audit = rng_.derive(salt::audit(round));
   for (auto& g : wiring_.governors_) {
     if (!g) continue;
     for (const auto& id : g->unrevealed_unchecked()) {

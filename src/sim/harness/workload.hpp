@@ -1,9 +1,8 @@
 #pragma once
 
-// Harness layer: provider traffic and out-of-band audits. Workload owns the
-// per-round RNG stream derivation for injected transactions (derive(10'000 +
-// round)) and truth reveals (derive(20'000 + round)) — salts that are part of
-// the pinned-seed contract.
+// Harness layer: provider traffic and out-of-band audits. Workload draws
+// each round's injected transactions and truth reveals from their own child
+// streams (salt::workload / salt::audit in system_model.hpp).
 
 #include "common/rng.hpp"
 #include "runtime/event_loop.hpp"

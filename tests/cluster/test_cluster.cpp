@@ -2,15 +2,18 @@
 // stand in for the forked node processes, which lets the lockstep replay be
 // asserted byte-for-byte against the simulation inside one test binary, and
 // lets the admission failures (wrong genesis, future version, bad role) be
-// driven from hand-crafted welcomes. The free-running cluster's crash-plan
-// vocabulary and session-resume welcome are covered here too; its
-// multi-process kill/restart runs are the cluster_* ctest entries.
+// driven from hand-crafted welcomes, against lockstep and free-running nodes
+// alike. The free-running cluster's crash-plan vocabulary, session-resume
+// welcome and the launcher's respawn admission check are covered here too;
+// its multi-process kill/restart runs are the cluster_* ctest entries.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,9 +21,11 @@
 #include "cluster/driver.hpp"
 #include "cluster/free_node.hpp"
 #include "cluster/free_run.hpp"
+#include "cluster/local_cluster.hpp"
 #include "cluster/node_host.hpp"
 #include "cluster/sync_conn.hpp"
 #include "common/errors.hpp"
+#include "runtime/loopback.hpp"
 #include "sim/harness/run_codec.hpp"
 #include "sim/harness/spec_codec.hpp"
 
@@ -48,14 +53,18 @@ crypto::Hash256 genesis_of(sim::ScenarioConfig cfg) {
   return sim::config_genesis(cfg);
 }
 
-/// One governor "process": a NodeHost served from a thread over a
-/// socketpair. Any WireError escaping serve() is recorded for assertions.
+/// The config a lockstep or a free-running node runs for small_config().
+sim::ScenarioConfig host_config(bool free_run) {
+  return free_run ? free_run_config(small_config()) : small_config();
+}
+
+/// One governor "process" served from a thread; any WireError escaping
+/// `serve` is recorded for assertions.
 struct HostThread {
-  HostThread(const sim::ScenarioConfig& config, std::size_t index, int fd)
-      : thread([config, index, fd, this] {
+  explicit HostThread(std::function<void()> serve)
+      : thread([serve = std::move(serve), this] {
           try {
-            NodeHost host(config, index);
-            host.serve(fd);
+            serve();
           } catch (const wire::WireError& e) {
             error = e.code();
           } catch (const std::exception&) {
@@ -68,9 +77,19 @@ struct HostThread {
     if (thread.joinable()) thread.join();
   }
 
-  std::thread thread;
   wire::ProtocolError error = wire::ProtocolError::kNone;
+  std::thread thread;  // after `error`, which it writes
 };
+
+/// Serve governor `index` of `config` over `fd`: a lockstep NodeHost, or a
+/// FreeNodeHost (peer base 0: node 0 binds an ephemeral mesh port and dials
+/// nobody).
+std::function<void()> node_host(const sim::ScenarioConfig& config,
+                                std::size_t index, int fd,
+                                bool free_run = false) {
+  if (free_run) return [=] { FreeNodeHost(config, index, 0).run(fd); };
+  return [=] { NodeHost(config, index).serve(fd); };
+}
 
 std::pair<int, int> stream_pair() {
   int sv[2];
@@ -88,7 +107,7 @@ TEST(Cluster, LockstepReplayMatchesSimulationByteForByte) {
   const wire::Welcome local = driver_welcome(genesis);
   for (std::size_t i = 0; i < governors; ++i) {
     const auto [driver_fd, node_fd] = stream_pair();
-    hosts.push_back(std::make_unique<HostThread>(config, i, node_fd));
+    hosts.push_back(std::make_unique<HostThread>(node_host(config, i, node_fd)));
     auto conn = std::make_unique<SyncConn>(driver_fd);
     const wire::Welcome remote = handshake(*conn, local, genesis);
     ASSERT_EQ(remote.role, wire::Role::kNode);
@@ -110,14 +129,14 @@ TEST(Cluster, LockstepReplayMatchesSimulationByteForByte) {
   }
 }
 
-TEST(Cluster, WrongGenesisNodeIsRefusedAtHandshake) {
-  const sim::ScenarioConfig config = small_config();
+void expect_wrong_genesis_refused(bool free_run) {
+  const sim::ScenarioConfig config = host_config(free_run);
   sim::ScenarioConfig other = config;
   other.seed = 8;  // different chain: different genesis hash
   ASSERT_NE(genesis_of(config), genesis_of(other));
 
   const auto [driver_fd, node_fd] = stream_pair();
-  HostThread host(other, 0, node_fd);
+  HostThread host(node_host(other, 0, node_fd, free_run));
   SyncConn conn(driver_fd);
   const crypto::Hash256 genesis = genesis_of(config);
   try {
@@ -126,12 +145,22 @@ TEST(Cluster, WrongGenesisNodeIsRefusedAtHandshake) {
   } catch (const wire::WireError& e) {
     EXPECT_EQ(e.code(), wire::ProtocolError::kWrongGenesis);
   }
+  host.join();  // the node refuses the driver's genesis just the same
+  EXPECT_EQ(host.error, wire::ProtocolError::kWrongGenesis);
+}
+
+TEST(Cluster, WrongGenesisNodeIsRefusedAtHandshake) {
+  expect_wrong_genesis_refused(/*free_run=*/false);
+}
+
+TEST(Cluster, WrongGenesisFreeNodeIsRefusedAtHandshake) {
+  expect_wrong_genesis_refused(/*free_run=*/true);
 }
 
 TEST(Cluster, FutureOnlyDriverVersionIsAnsweredWithHighVersionError) {
   const sim::ScenarioConfig config = small_config();
   const auto [driver_fd, node_fd] = stream_pair();
-  HostThread host(config, 0, node_fd);
+  HostThread host(node_host(config, 0, node_fd));
 
   SyncConn conn(driver_fd);
   wire::Welcome future = driver_welcome(genesis_of(config));
@@ -152,10 +181,10 @@ TEST(Cluster, FutureOnlyDriverVersionIsAnsweredWithHighVersionError) {
   EXPECT_EQ(host.error, wire::ProtocolError::kHighVersion);
 }
 
-TEST(Cluster, NonDriverPeerIsRefusedWithBadRole) {
-  const sim::ScenarioConfig config = small_config();
+void expect_non_driver_refused(bool free_run) {
+  const sim::ScenarioConfig config = host_config(free_run);
   const auto [driver_fd, node_fd] = stream_pair();
-  HostThread host(config, 0, node_fd);
+  HostThread host(node_host(config, 0, node_fd, free_run));
 
   SyncConn conn(driver_fd);
   wire::Welcome imposter = driver_welcome(genesis_of(config));
@@ -170,6 +199,14 @@ TEST(Cluster, NonDriverPeerIsRefusedWithBadRole) {
             wire::ProtocolError::kBadRole);
   host.join();
   EXPECT_EQ(host.error, wire::ProtocolError::kBadRole);
+}
+
+TEST(Cluster, NonDriverPeerIsRefusedWithBadRole) {
+  expect_non_driver_refused(/*free_run=*/false);
+}
+
+TEST(Cluster, NonDriverPeerIsRefusedByFreeNodeWithBadRole) {
+  expect_non_driver_refused(/*free_run=*/true);
 }
 
 TEST(Cluster, OutOfRangeGovernorIndexIsAConfigError) {
@@ -212,17 +249,8 @@ TEST(Cluster, RestartedNodeAnnouncesSessionResume) {
   const auto [driver_fd, node_fd] = stream_pair();
   char dir[] = "/tmp/repchain_resume_XXXXXX";
   ASSERT_NE(::mkdtemp(dir), nullptr);
-  // Node 0 with peer base 0 binds an ephemeral mesh port and dials nobody.
-  wire::ProtocolError error = wire::ProtocolError::kNone;
-  std::thread node([&, node_fd] {
-    try {
-      FreeNodeHost host(config, 0, /*peer_base=*/0, dir, /*incarnation=*/1);
-      host.run(node_fd);
-    } catch (const wire::WireError& e) {
-      error = e.code();
-    } catch (const std::exception&) {
-      error = wire::ProtocolError::kBadPayload;  // unexpected kind
-    }
+  HostThread node([&, node_fd] {
+    FreeNodeHost(config, 0, /*peer_base=*/0, dir, /*incarnation=*/1).run(node_fd);
   });
 
   SyncConn conn(driver_fd);
@@ -234,8 +262,89 @@ TEST(Cluster, RestartedNodeAnnouncesSessionResume) {
   conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kShutdown), {});
   (void)conn.recv_frame();
   node.join();
-  EXPECT_EQ(error, wire::ProtocolError::kNone);
+  EXPECT_EQ(node.error, wire::ProtocolError::kNone);
   std::filesystem::remove_all(dir);
+}
+
+/// A loopback port nothing listens on right now.
+std::uint16_t unused_port() {
+  std::uint16_t port = 0;
+  ::close(runtime::listen_loopback(0, &port));
+  return port;
+}
+
+/// Stand-in for a node process: dial the launcher's listener (retrying
+/// until it is up) and present `welcome`. With `expect_verdict`, returns the
+/// code of the kError the launcher answers with after the handshake.
+wire::ProtocolError fake_node(std::uint16_t port, const wire::Welcome& welcome,
+                              bool expect_verdict) {
+  int fd = -1;
+  for (int attempt = 0; fd < 0 && attempt < 500; ++attempt) {
+    try {
+      fd = runtime::dial_loopback(port);
+    } catch (const NetError&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  if (fd < 0) return wire::ProtocolError::kPeerTimeout;
+  SyncConn conn(fd);
+  (void)handshake(conn, welcome, welcome.genesis);
+  if (!expect_verdict) return wire::ProtocolError::kNone;
+  const wire::Frame verdict = conn.recv_frame();
+  return verdict.type == static_cast<std::uint16_t>(wire::PacketType::kError)
+             ? wire::decode_error(verdict.payload).code
+             : wire::ProtocolError::kNone;
+}
+
+TEST(Cluster, RespawnRefusesAWelcomeThatIsNotTheReturningNode) {
+  // Threads dialing the listener stand in for the node processes; the
+  // children the launcher forks run /bin/true and exit at once.
+  const sim::ScenarioConfig config = small_config();
+  const std::uint16_t port = unused_port();
+  const auto node_welcome = [&](std::uint32_t index, bool resume,
+                                std::uint32_t incarnation) {
+    wire::Welcome w;
+    w.genesis = genesis_of(config);
+    w.role = wire::Role::kNode;
+    w.node_index = index;
+    w.resume = resume;
+    w.incarnation = incarnation;
+    return w;
+  };
+
+  std::vector<std::thread> first_lives;
+  for (std::uint32_t i = 0; i < config.topology.governors; ++i) {
+    first_lives.emplace_back([&, i] {
+      (void)fake_node(port, node_welcome(i, false, 0), /*expect_verdict=*/false);
+    });
+  }
+  LocalCluster nodes(config, {.node_bin = "/bin/true", .listen_port = port});
+  for (std::thread& t : first_lives) t.join();
+
+  // Respawning node 1 as incarnation 1: the wrong node, a welcome without
+  // session resume, and another incarnation are each refused.
+  const wire::Welcome bad[] = {node_welcome(0, true, 1),
+                               node_welcome(1, false, 1),
+                               node_welcome(1, true, 2)};
+  for (const wire::Welcome& welcome : bad) {
+    wire::ProtocolError answered = wire::ProtocolError::kNone;
+    std::thread child([&] { answered = fake_node(port, welcome, true); });
+    try {
+      (void)nodes.respawn(1, 1);
+      ADD_FAILURE() << "respawn admitted node " << welcome.node_index
+                    << " resume " << welcome.resume << " incarnation "
+                    << welcome.incarnation;
+    } catch (const wire::WireError& e) {
+      EXPECT_EQ(e.code(), wire::ProtocolError::kBadNodeIndex);
+    }
+    child.join();
+    EXPECT_EQ(answered, wire::ProtocolError::kBadNodeIndex);
+  }
+
+  std::thread returning(
+      [&] { (void)fake_node(port, node_welcome(1, true, 1), false); });
+  EXPECT_NE(nodes.respawn(1, 1), nullptr);
+  returning.join();
 }
 
 TEST(Cluster, CrashPlanParsesCanonicalSpec) {

@@ -53,9 +53,13 @@ std::vector<std::pair<const char*, DecoderFn>> decoders() {
        [](BytesView d) { (void)cluster::decode_fire_timer(d); }},
       {"decode_arm_round", [](BytesView d) { (void)cluster::decode_arm_round(d); }},
       {"decode_reveal", [](BytesView d) { (void)cluster::decode_reveal(d); }},
-      {"decode_shares", [](BytesView d) { (void)cluster::decode_shares(d); }},
-      {"decode_txid_list",
-       [](BytesView d) { (void)cluster::decode_txid_list(d); }},
+      {"decode_free_start",
+       [](BytesView d) { (void)cluster::decode_free_start(d); }},
+      {"decode_free_stats",
+       [](BytesView d) { (void)cluster::decode_free_stats(d); }},
+      {"decode_block_at", [](BytesView d) { (void)cluster::decode_block_at(d); }},
+      {"decode_block_hash",
+       [](BytesView d) { (void)cluster::decode_block_hash(d); }},
   };
 }
 
@@ -135,6 +139,13 @@ TEST_P(WireFuzz, MutatedValidEncodingsAreHandledGracefully) {
   state.leader = GovernorId(1);
   state.expected_loss = 0.25;
   state.validations = 7;
+  state.shares = {{CollectorId(1), 0.5}, {CollectorId(2), 0.25}};
+  state.unrevealed = {ledger::TxId{}, ledger::TxId{}};
+  state.unrevealed[1][0] = 0x7f;
+
+  cluster::FreeRunStats stats;
+  stats.head = {.serial = 4, .committed_txs = 40, .incarnation = 1};
+  stats.current_round = 5;
 
   crypto::SigningKey key(crypto::random_seed(rng));
   cluster::GovernorSnapshotData snap;
@@ -177,8 +188,14 @@ TEST_P(WireFuzz, MutatedValidEncodingsAreHandledGracefully) {
        [](BytesView d) { (void)cluster::decode_deliver(d); }},
       {"decode_arm_round", cluster::encode_arm_round({10, 2, 30}),
        [](BytesView d) { (void)cluster::decode_arm_round(d); }},
-      {"decode_shares", cluster::encode_shares({{CollectorId(1), 0.5}}),
-       [](BytesView d) { (void)cluster::decode_shares(d); }},
+      {"decode_free_start", cluster::encode_free_start({3, 250'000}),
+       [](BytesView d) { (void)cluster::decode_free_start(d); }},
+      {"decode_free_stats", cluster::encode_free_stats(stats),
+       [](BytesView d) { (void)cluster::decode_free_stats(d); }},
+      {"decode_block_at", cluster::encode_block_at(9),
+       [](BytesView d) { (void)cluster::decode_block_at(d); }},
+      {"decode_block_hash", cluster::encode_block_hash({3, true, {}}),
+       [](BytesView d) { (void)cluster::decode_block_hash(d); }},
   };
 
   for (const auto& c : cases) {

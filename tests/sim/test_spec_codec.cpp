@@ -3,6 +3,8 @@
 // cluster-runnability gate for features only an in-process run can host.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/errors.hpp"
 #include "sim/harness/spec_codec.hpp"
 
@@ -173,6 +175,44 @@ TEST(SpecCodec, NormalizeRejectsUnrealizableShardSpecs) {
 
   cfg = sharded_config();
   cfg.governor_visibility = 0.5;  // views are drawn over the global set
+  EXPECT_THROW(normalize_config(cfg), ConfigError);
+}
+
+CrashPlan crash(std::size_t governor, std::size_t crash_round,
+                std::size_t restart_round) {
+  CrashPlan plan;
+  plan.governor = governor;
+  plan.crash_round = crash_round;
+  plan.restart_round = restart_round;
+  return plan;
+}
+
+TEST(SpecCodec, NormalizeRejectsPlanIndicesPastTheTopology) {
+  // rich_config: 6 providers, 3 collectors, 3 governors.
+  std::vector<ScenarioConfig> bad(5, rich_config());
+  bad[0].crashes = {crash(3, 2, 3)};
+  bad[1].adversary.equivocating_leaders.resize(1);
+  bad[1].adversary.equivocating_leaders[0].governor = 3;
+  bad[2].adversary.lying_sync_peers.resize(1);
+  bad[2].adversary.lying_sync_peers[0].governor = 3;
+  bad[3].adversary.byzantine_collectors.resize(1);
+  bad[3].adversary.byzantine_collectors[0].collector = 3;
+  bad[4].adversary.double_spenders.resize(1);
+  bad[4].adversary.double_spenders[0].provider = 6;
+  for (ScenarioConfig& cfg : bad) EXPECT_THROW(normalize_config(cfg), ConfigError);
+}
+
+TEST(SpecCodec, NormalizeRejectsACrashInRoundZero) {
+  ScenarioConfig cfg = rich_config();
+  cfg.crashes = {crash(1, 0, 2)};
+  EXPECT_THROW(normalize_config(cfg), ConfigError);
+}
+
+TEST(SpecCodec, NormalizeRejectsARestartNotAfterItsCrash) {
+  ScenarioConfig cfg = rich_config();
+  cfg.crashes = {crash(1, 2, 2)};  // would silently never restart
+  EXPECT_THROW(normalize_config(cfg), ConfigError);
+  cfg.crashes = {crash(1, 3, 2)};
   EXPECT_THROW(normalize_config(cfg), ConfigError);
 }
 

@@ -29,34 +29,29 @@
 // different dial port (a wire_proxy interposed between nodes and driver);
 // admission still happens on the driver's own listener, which the proxy
 // forwards to. --peer-base sets the first port of the node-to-node mesh:
-// node i listens on peer_base + i.
+// node i listens on peer_base + i. --state-root is wiped before each run and
+// kept after it; without one the nodes persist under a temporary root that
+// is removed when the run ends, failed or not.
 //
 // On a failure the evidence is written to <artifact-dir> (CI uploads it):
 // cluster_diff_<scenario>.txt holds the hexfloat renderings of both lockstep
 // runs, free_run_<scenario>.txt the free-run contract report. The exit code
 // is the number of failing scenarios.
 
-#include <libgen.h>
-
-#include <cinttypes>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "cluster/driver.hpp"
 #include "cluster/free_run.hpp"
-#include "cluster/supervisor.hpp"
-#include "cluster/sync_conn.hpp"
+#include "cluster/local_cluster.hpp"
 #include "sim/harness/run_codec.hpp"
-#include "sim/harness/spec_codec.hpp"
 
 namespace {
 
@@ -102,60 +97,19 @@ sim::ScenarioConfig gossip_config() {
   return cfg;
 }
 
-/// Directory holding this binary (so the sibling `node` binary is found
-/// regardless of the working directory).
-std::string self_dir() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) throw NetError("cannot resolve /proc/self/exe");
-  buf[n] = '\0';
-  return ::dirname(buf);
-}
-
-std::string write_blob(const Bytes& blob, const char* name) {
-  std::string path = "/tmp/repchain_" + std::string(name) + "_XXXXXX";
-  const int fd = ::mkstemp(path.data());
-  if (fd < 0) throw NetError(std::string("mkstemp: ") + std::strerror(errno));
-  ::close(fd);
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  return path;
-}
-
-constexpr int kAdmitMs = 15'000;
-
 /// Run one golden over a real loopback cluster and return its RunResult.
 sim::RunResult cluster_run(const Golden& golden) {
-  sim::ScenarioConfig config = golden.config;
-  sim::normalize_config(config);
-  const crypto::Hash256 genesis = sim::config_genesis(config);
-  const std::size_t governors = config.topology.governors;
-  const std::string blob_path = write_blob(sim::encode_config(config), golden.name);
-
-  std::uint16_t port = 0;
-  const int listen_fd = cluster::listen_loopback(port);
-  cluster::ProcessSupervisor::Options sopts;
-  sopts.node_bin = self_dir() + "/node";
-  sopts.config_blob = blob_path;
-  sopts.port = port;
-  cluster::ProcessSupervisor sup(sopts, governors);
-  auto conns = cluster::spawn_and_admit(
-      sup, listen_fd, cluster::driver_welcome(genesis), genesis, governors,
-      kAdmitMs);
-  ::close(listen_fd);
-
-  cluster::ClusterRun run(golden.config, std::move(conns));
+  cluster::LocalCluster nodes(golden.config,
+                              {.node_bin = cluster::beside_executable("node")});
+  cluster::ClusterRun run(golden.config, nodes.take_conns());
   sim::RunResult result = run.run();
-
-  for (std::size_t i = 0; i < governors; ++i) {
-    const int status = sup.wait_exit(i);
+  for (std::size_t i = 0; i < golden.config.topology.governors; ++i) {
+    const int status = nodes.wait_exit(i);
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
       throw NetError("node process exited abnormally (status " +
                      std::to_string(status) + ")");
     }
   }
-  ::unlink(blob_path.c_str());
   return result;
 }
 
@@ -187,17 +141,12 @@ void print_degradation(const char* name, const cluster::DegradationReport& d,
 /// convergence contract (see src/cluster/free_run.hpp).
 int free_run(const Golden& golden,
              const std::vector<cluster::CrashPlan>& plans,
-             const std::string& artifact_dir, std::string state_root,
-             std::uint16_t listen_port, std::uint16_t node_port,
-             std::uint16_t peer_base, Round grace) {
-  sim::ScenarioConfig config = cluster::free_run_config(golden.config);
-  sim::normalize_config(config);
-  const crypto::Hash256 genesis = sim::config_genesis(config);
+             const std::string& artifact_dir,
+             const cluster::LocalCluster::Deployment& deployment, Round grace) {
+  const sim::ScenarioConfig config = cluster::free_run_config(golden.config);
   const std::size_t governors = config.topology.governors;
-  cluster::validate_crash_plans(plans, governors, config.rounds);
-  if (peer_base == 0 || peer_base + governors > 65535) {
-    throw ConfigError("--peer-base leaves no room for the node mesh");
-  }
+  cluster::LocalCluster nodes(config, deployment);
+  cluster::FreeRunDriver driver(config, nodes, plans, grace);
   const std::size_t quorum = cluster::election_quorum(governors);
   const std::size_t min_live =
       cluster::min_live_governors(plans, governors, config.rounds);
@@ -206,73 +155,7 @@ int free_run(const Golden& golden,
                 "expecting a stall window\n",
                 golden.name, render_plans(plans).c_str(), min_live, quorum);
   }
-  const std::string blob_path =
-      write_blob(sim::encode_config(config), golden.name);
-
-  std::uint16_t port = 0;
-  const int listen_fd = cluster::listen_loopback(port, listen_port);
-
-  if (state_root.empty()) {
-    state_root = "/tmp/repchain_state_XXXXXX";
-    if (::mkdtemp(state_root.data()) == nullptr) {
-      throw NetError(std::string("mkdtemp: ") + std::strerror(errno));
-    }
-  } else {
-    std::error_code ec;
-    std::filesystem::remove_all(state_root, ec);
-  }
-
-  cluster::ProcessSupervisor::Options sopts;
-  sopts.node_bin = self_dir() + "/node";
-  sopts.config_blob = blob_path;
-  sopts.port = node_port != 0 ? node_port : port;
-  sopts.state_root = state_root;
-  sopts.log_dir = artifact_dir;
-  sopts.extra_args = {"--free-run",
-                      "--peer-base=" + std::to_string(peer_base)};
-  cluster::ProcessSupervisor sup(sopts, governors);
-  auto conns = cluster::spawn_and_admit(
-      sup, listen_fd, cluster::driver_welcome(genesis), genesis, governors,
-      kAdmitMs);
-  // Listener stays open: respawned victims re-admit through it.
-
-  cluster::FreeRunDriver::Options fopts;
-  fopts.peer_base = peer_base;
-  fopts.grace_rounds = grace;
-  cluster::FreeRunDriver driver(config, std::move(conns), fopts);
-  if (!plans.empty()) {
-    driver.set_supervision(
-        plans, [&sup](std::size_t i) { sup.kill(i); },
-        [&](std::size_t i, std::uint32_t incarnation) {
-          sup.spawn(i, incarnation);
-          wire::Welcome remote;
-          auto conn = cluster::admit_node(listen_fd,
-                                          cluster::driver_welcome(genesis),
-                                          genesis, governors, kAdmitMs, &remote);
-          if (remote.node_index != i || !remote.resume ||
-              remote.incarnation != incarnation) {
-            throw wire::WireError(wire::ProtocolError::kBadNodeIndex,
-                                  "respawn admitted the wrong node or a "
-                                  "non-resuming welcome");
-          }
-          std::printf("%-8s respawned node %zu as incarnation %u "
-                      "(recovered head serial %" PRIu64 ")\n",
-                      golden.name, i, incarnation, remote.head_serial);
-          return conn;
-        });
-  }
-  cluster::FreeRunReport report = driver.run();
-  report.degradation.spontaneous_exits = sup.report().spontaneous_exits;
-  ::close(listen_fd);
-
-  for (std::size_t i = 0; i < governors; ++i) {
-    const int status = sup.wait_exit(i);
-    if (status != 0 && (!WIFEXITED(status) || WEXITSTATUS(status) != 0)) {
-      std::fprintf(stderr, "%-8s node %zu exited abnormally (status %d)\n",
-                   golden.name, i, status);
-    }
-  }
-  ::unlink(blob_path.c_str());
+  const cluster::FreeRunReport report = driver.run();
 
   if (report.ok()) {
     std::printf("%-8s FREE-RUN CONVERGED  head serial %" PRIu64
@@ -392,13 +275,17 @@ int main(int argc, char** argv) {
 
   if (mode == "free") {
     // No --kill is the zero-fault contract check.
+    const cluster::LocalCluster::Deployment deployment{
+        .node_bin = cluster::beside_executable("node"),
+        .state_root = state_root,
+        .log_dir = artifact_dir,
+        .listen_port = static_cast<std::uint16_t>(listen_port),
+        .node_port = static_cast<std::uint16_t>(node_port),
+        .peer_base = static_cast<std::uint16_t>(peer_base)};
     int failures = 0;
     for (const Golden& golden : goldens) {
       try {
-        failures += free_run(golden, kills, artifact_dir, state_root,
-                             static_cast<std::uint16_t>(listen_port),
-                             static_cast<std::uint16_t>(node_port),
-                             static_cast<std::uint16_t>(peer_base),
+        failures += free_run(golden, kills, artifact_dir, deployment,
                              static_cast<Round>(grace));
       } catch (const std::exception& e) {
         ++failures;

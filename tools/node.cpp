@@ -17,19 +17,14 @@
 // marks a restarted process that replays its store before dialing and
 // announces session resume in its welcome.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "cluster/free_node.hpp"
 #include "cluster/node_host.hpp"
+#include "runtime/loopback.hpp"
 #include "sim/harness/spec_codec.hpp"
 
 namespace {
@@ -46,21 +41,6 @@ Bytes read_file(const std::string& path) {
   if (!in) die("cannot open config blob " + path);
   return Bytes((std::istreambuf_iterator<char>(in)),
                std::istreambuf_iterator<char>());
-}
-
-int dial(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) die(std::string("socket: ") + std::strerror(errno));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-    die(std::string("connect: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
 }
 
 }  // namespace
@@ -117,10 +97,10 @@ int main(int argc, char** argv) {
                                  static_cast<std::uint16_t>(peer_base),
                                  state_dir,
                                  static_cast<std::uint32_t>(incarnation));
-      host.run(dial(static_cast<std::uint16_t>(port)));
+      host.run(runtime::dial_loopback(static_cast<std::uint16_t>(port)));
     } else {
       cluster::NodeHost host(config, static_cast<std::size_t>(index));
-      host.serve(dial(static_cast<std::uint16_t>(port)));
+      host.serve(runtime::dial_loopback(static_cast<std::uint16_t>(port)));
     }
   } catch (const std::exception& e) {
     die(e.what());

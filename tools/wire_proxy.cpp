@@ -36,6 +36,7 @@
 #include "common/bytes.hpp"
 #include "common/errors.hpp"
 #include "common/sim_time.hpp"
+#include "runtime/loopback.hpp"
 #include "runtime/poll_loop.hpp"
 
 namespace {
@@ -47,38 +48,6 @@ void set_nonblocking(int fd) {
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     throw NetError(std::string("fcntl: ") + std::strerror(errno));
   }
-}
-
-int listen_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw NetError(std::string("socket: ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 16) < 0) {
-    throw NetError(std::string("bind/listen: ") + std::strerror(errno));
-  }
-  set_nonblocking(fd);
-  return fd;
-}
-
-int dial_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw NetError(std::string("socket: ") + std::strerror(errno));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    throw NetError(std::string("upstream connect: ") + std::strerror(errno));
-  }
-  set_nonblocking(fd);
-  return fd;
 }
 
 struct Options {
@@ -100,7 +69,8 @@ class Proxy {
   explicit Proxy(Options opts) : opts_(opts) {}
 
   void run() {
-    listen_fd_ = listen_loopback(opts_.listen_port);
+    listen_fd_ = runtime::listen_loopback(opts_.listen_port);
+    set_nonblocking(listen_fd_);
     // Readiness announcement: supervising scripts wait for this line
     // instead of probing with a TCP connect — a probe would sit in the
     // listen backlog until the event loop accepts it, by which time the
@@ -148,7 +118,8 @@ class Proxy {
     }
     int b = -1;
     try {
-      b = dial_loopback(opts_.connect_port);
+      b = runtime::dial_loopback(opts_.connect_port);
+      set_nonblocking(b);
     } catch (const NetError& e) {
       std::fprintf(stderr, "wire_proxy: %s\n", e.what());
       ::close(a);
