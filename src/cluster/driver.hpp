@@ -1,33 +1,28 @@
 #pragma once
 
-// Driver side of the lockstep cluster: one process keeps the master event
-// loop, the simulated network (with its delay RNG and traffic accounting),
-// the shared atomic-broadcast sequencer, the ground-truth oracle and every
-// provider/collector — exactly the parts of a run whose determinism depends
-// on a single ordered stream of decisions. Only the governors live in other
-// processes. Each delivery or timer firing addressed to a remote governor
-// becomes a synchronous RPC: the node runs the handler, ships back the
-// ordered Effect list, and the driver applies it to the master loop in
-// recorded order. Every nondeterministic choice is therefore made once, in
-// the driver, in the same order the in-process simulation makes it — which
-// is why the replayed run's summary is byte-identical to the simulated one.
-//
-// Lockstep has no fault story: a node that fails an RPC fails the run. Crash
-// and restart schedules belong to the free-running cluster (free_run.hpp).
+// Driver side of the lockstep cluster: sim::Scenario's own round loop, with
+// RemoteGovernors as its GovernorLink. The driver keeps the master event
+// loop, the simulated network (delay RNG and traffic accounting), the atomic
+// broadcast sequencer, the ground-truth oracle and every provider/collector;
+// only the governors live in node processes. Each operation on governor i
+// is a synchronous RPC: the node runs the handler and ships back the ordered
+// Effect list, which the driver replays through governor i's driver-side
+// NodeContext. Every nondeterministic choice is made once, in the driver, in
+// the order the in-process simulation makes it, so the two runs' summaries
+// are byte-identical. A reply naming a leader or share collector past its
+// topology count, or an effect sent as another node, fails the run with
+// WireError(kBadPayload); so does any failed RPC (lockstep has no fault
+// story — crash schedules belong to the free-running cluster, free_run.hpp).
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/packets.hpp"
 #include "cluster/sync_conn.hpp"
-#include "common/rng.hpp"
-#include "runtime/event_loop.hpp"
-#include "sim/harness/observation.hpp"
-#include "sim/harness/run_codec.hpp"
-#include "sim/harness/spec.hpp"
+#include "ledger/chain.hpp"
 #include "sim/harness/wiring.hpp"
-#include "sim/harness/workload.hpp"
 #include "wire/codec.hpp"
 
 namespace repchain::cluster {
@@ -35,53 +30,41 @@ namespace repchain::cluster {
 /// The welcome the driver presents on every node connection.
 [[nodiscard]] wire::Welcome driver_welcome(const crypto::Hash256& genesis);
 
-/// One cluster-hosted run. `conns[i]` must be the (already handshaken)
-/// connection to the process hosting governor i; the constructor mirrors the
-/// Scenario constructor sequence on the driver-side objects.
-class ClusterRun final : public sim::RemoteGovernorLink {
+/// sim::GovernorLink over RPC. `conns[i]` must be the (already handshaken)
+/// connection to the process hosting governor i. The lockstep run is
+/// sim::simulate_run(config, &link) followed by shutdown().
+class RemoteGovernors final : public sim::GovernorLink {
  public:
-  ClusterRun(sim::ScenarioConfig config,
-             std::vector<std::unique_ptr<SyncConn>> conns);
-  ~ClusterRun();
+  explicit RemoteGovernors(std::vector<std::unique_ptr<SyncConn>> conns);
+  ~RemoteGovernors() override;
 
-  ClusterRun(const ClusterRun&) = delete;
-  ClusterRun& operator=(const ClusterRun&) = delete;
+  /// Throws ConfigError unless the run is cluster-runnable with one
+  /// connection per governor; forwards ground truth to the nodes from here on.
+  void bind(sim::Wiring& wiring) override;
+  void deliver(std::size_t i, const runtime::Message& msg) override;
+  void arm_round(std::size_t i, Round round, SimTime t0) override;
+  [[nodiscard]] std::optional<sim::GovernorState> state(std::size_t i) override;
+  void reveal(std::size_t i, const ledger::TxId& id) override;
+  /// The chain is rebuilt through append(), which re-validates serials and
+  /// hash links, so a node cannot ship a corrupt chain unnoticed.
+  [[nodiscard]] const ledger::ChainStore* snapshot(std::size_t i) override;
 
-  /// Run all configured rounds over the cluster, assemble the RunResult,
-  /// and shut the nodes down.
-  [[nodiscard]] sim::RunResult run();
-
-  /// RemoteGovernorLink: a master-loop delivery for governor `index` — the
-  /// synchronous RPC at the heart of the lockstep scheme.
-  void deliver(std::size_t index, const runtime::Message& msg) override;
+  /// Ask every node to exit.
+  void shutdown();
 
  private:
-  void run_round();
-  /// Apply a node's recorded effects to the master loop, in order.
-  void apply_effects(std::size_t index, const std::vector<Effect>& effects);
-  void fire_timer(std::size_t index, std::uint64_t timer_id);
   /// One synchronous request; returns the payload of the expected `reply`
   /// and throws WireError on a kError or any other reply type.
-  [[nodiscard]] Bytes rpc(std::size_t index, ClusterPacket request,
-                          BytesView payload, ClusterPacket reply);
-  /// Request expecting a kDone reply; returns the recorded effects.
-  [[nodiscard]] std::vector<Effect> rpc_done(std::size_t index, ClusterPacket type,
-                                             BytesView payload);
-  [[nodiscard]] GovernorState query_state(std::size_t index);
-  /// The cross-replica counters Observation probes at round edges.
-  [[nodiscard]] sim::CounterProbe probe_counters();
-  void sample_rewards();
-  void run_audit(Round round);
+  [[nodiscard]] Bytes rpc(std::size_t i, ClusterPacket request, BytesView payload,
+                          ClusterPacket reply);
+  /// A request answered by kDone: check the recorded effects, then replay
+  /// them in order.
+  void execute(std::size_t i, ClusterPacket request, BytesView payload);
+  [[nodiscard]] SimTime now() const { return wiring_->transport_->timers().now(); }
 
-  sim::ScenarioConfig config_;
-  Rng rng_;
-  runtime::EventLoop queue_;
-  sim::Observation observation_;
   std::vector<std::unique_ptr<SyncConn>> conns_;
-  std::unique_ptr<sim::Wiring> wiring_;
-  std::unique_ptr<sim::Workload> workload_;
-
-  Round round_ = 0;
+  sim::Wiring* wiring_ = nullptr;
+  std::vector<ledger::ChainStore> chains_;  // the latest snapshot per governor
 };
 
 }  // namespace repchain::cluster

@@ -15,15 +15,6 @@
 namespace repchain::cluster {
 namespace {
 
-std::size_t free_checked_index(const sim::ScenarioConfig& config, std::size_t i) {
-  if (i >= config.topology.governors) {
-    throw ConfigError("free-running node: governor index " + std::to_string(i) +
-                      " out of range (" +
-                      std::to_string(config.topology.governors) + " governors)");
-  }
-  return i;
-}
-
 std::unique_ptr<storage::NodeStateStore> free_make_store(const std::string& dir) {
   if (dir.empty()) return nullptr;
   return std::make_unique<storage::FileStateStore>(dir);
@@ -67,7 +58,7 @@ FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_inde
                            std::uint16_t peer_base, const std::string& state_dir,
                            std::uint32_t incarnation)
     : config_(free_run_normalized(std::move(config))),
-      index_(free_checked_index(config_, governor_index)),
+      index_(checked_governor_index(governor_index, config_.topology.governors)),
       incarnation_(incarnation),
       genesis_(sim::config_genesis(config_)),
       model_(sim::SystemModel::build(config_, Rng(config_.seed))),
@@ -213,20 +204,8 @@ void FreeNodeHost::drain_control(SyncConn& conn) {
 
 void FreeNodeHost::run(int fd) {
   SyncConn conn(fd);
-
-  wire::Welcome local;
-  local.genesis = genesis_;
-  local.role = wire::Role::kNode;
-  local.node_index = static_cast<std::uint32_t>(index_);
-  local.hosted = {governor_->node()};
-  local.resume = incarnation_ > 0;
-  local.incarnation = incarnation_;
-  local.head_serial = head().serial;
-  const wire::Welcome remote = handshake(conn, local, genesis_);
-  if (remote.role != wire::Role::kDriver) {
-    conn.refuse(wire::ProtocolError::kBadRole,
-                "free-running node: peer is not a driver");
-  }
+  accept_driver(conn, genesis_, index_, governor_->node(), incarnation_,
+                head().serial);
 
   // Serve whatever the driver pipelined behind its welcome, then hand the
   // socket to the loop.

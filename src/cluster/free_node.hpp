@@ -94,8 +94,6 @@ class FreeNodeHost {
   /// rethrow.
   void run(int fd);
 
-  [[nodiscard]] const crypto::Hash256& genesis() const { return genesis_; }
-  [[nodiscard]] protocol::Governor& governor() { return *governor_; }
   [[nodiscard]] FreeRunStats stats() const;
 
  private:

@@ -12,6 +12,7 @@
 #include "common/errors.hpp"
 #include "sim/harness/run_codec.hpp"
 #include "sim/harness/spec_codec.hpp"
+#include "sim/harness/workload.hpp"
 
 namespace repchain::cluster {
 namespace {
@@ -315,29 +316,14 @@ void FreeRunDriver::start_nodes() {
 }
 
 void FreeRunDriver::inject_workload(Round round) {
-  // Same derivation and draw order as Workload::inject, so the traffic the
-  // reference simulation saw is reproduced tx for tx; only the delivery
-  // fabric differs. Draws happen up front (provider-major), submissions are
-  // spread at the same 1 ms spacing as loop timers.
-  Rng workload = rng_.derive(sim::salt::workload(round));
-  struct Draw {
-    std::size_t provider;
-    Bytes payload;
-    bool valid;
-  };
-  std::vector<Draw> draws;
-  draws.reserve(providers_.size() * config_.txs_per_provider_per_round);
-  for (std::size_t i = 0; i < providers_.size(); ++i) {
-    for (std::size_t t = 0; t < config_.txs_per_provider_per_round; ++t) {
-      const bool valid = workload.bernoulli(config_.p_valid);
-      draws.push_back({i, workload.bytes(24), valid});
-    }
-  }
+  // The simulation's own draws, so the traffic the reference run saw is
+  // reproduced tx for tx; only the delivery fabric differs. Submissions are
+  // spread at the simulation's 1 ms spacing as loop timers.
   SimTime at = loop_.now();
-  for (Draw& d : draws) {
+  for (sim::TxDraw& d : sim::draw_workload(config_, rng_, round, model_.router,
+                                           model_.directory)) {
     loop_.schedule_at(at, [this, draw = std::move(d)]() mutable {
-      (void)providers_[draw.provider].submit(std::move(draw.payload),
-                                             draw.valid);
+      sim::submit_draw(providers_[draw.provider], model_.directory, std::move(draw));
     });
     at += 1 * kMillisecond;
   }

@@ -16,15 +16,6 @@ sim::ScenarioConfig normalized(sim::ScenarioConfig config) {
   return config;
 }
 
-std::size_t checked_index(const sim::ScenarioConfig& config, std::size_t i) {
-  if (i >= config.topology.governors) {
-    throw ConfigError("cluster node: governor index " + std::to_string(i) +
-                      " out of range (" +
-                      std::to_string(config.topology.governors) + " governors)");
-  }
-  return i;
-}
-
 }  // namespace
 
 void RemoteTimers::fire(std::uint64_t id) {
@@ -95,7 +86,7 @@ void RemoteTraceSink::on_event(const runtime::TraceEvent& ev) {
 
 NodeHost::NodeHost(sim::ScenarioConfig config, std::size_t governor_index)
     : config_(normalized(std::move(config))),
-      index_(checked_index(config_, governor_index)),
+      index_(checked_governor_index(governor_index, config_.topology.governors)),
       genesis_(sim::config_genesis(config_)),
       model_(sim::SystemModel::build(config_, Rng(config_.seed))),
       timers_(effects_),
@@ -119,32 +110,6 @@ void NodeHost::reply_done(SyncConn& conn) {
   conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kDone),
                   encode_effects(effects_));
   effects_.clear();
-}
-
-GovernorState NodeHost::state() const {
-  GovernorState s;
-  s.leader = governor_->round_leader();
-  s.expected_loss = governor_->metrics().expected_loss;
-  s.argues_accepted = governor_->metrics().argues_accepted;
-  s.validations = oracle_.validations();
-  s.chain_empty = governor_->chain().empty();
-  if (!s.chain_empty) {
-    for (const auto& rec : governor_->chain().head().txs) {
-      if (rec.status != ledger::TxStatus::kUncheckedInvalid) ++s.head_valid_txs;
-    }
-  }
-  s.shares = governor_->revenue_shares();
-  s.unrevealed = governor_->unrevealed_unchecked();
-  return s;
-}
-
-GovernorSnapshotData NodeHost::snapshot() const {
-  GovernorSnapshotData s;
-  s.blocks = governor_->chain().blocks();
-  s.expected_loss = governor_->metrics().expected_loss;
-  s.realized_loss = governor_->metrics().realized_loss;
-  s.mistakes = governor_->metrics().mistakes;
-  return s;
 }
 
 void NodeHost::handle(SyncConn& conn, const wire::Frame& frame, bool& done) {
@@ -184,11 +149,12 @@ void NodeHost::handle(SyncConn& conn, const wire::Frame& frame, bool& done) {
     }
     case ClusterPacket::kQueryState:
       conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kState),
-                      encode_state(state()));
+                      encode_state(sim::read_governor_state(*governor_,
+                                                            oracle_.validations())));
       return;
     case ClusterPacket::kSnapshot:
       conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kSnapshotData),
-                      encode_snapshot(snapshot()));
+                      encode_snapshot(governor_->chain().blocks()));
       return;
     case ClusterPacket::kShutdown:
       reply_done(conn);
@@ -203,17 +169,8 @@ void NodeHost::handle(SyncConn& conn, const wire::Frame& frame, bool& done) {
 
 void NodeHost::serve(int fd) {
   SyncConn conn(fd);
-
-  wire::Welcome local;
-  local.genesis = genesis_;
-  local.role = wire::Role::kNode;
-  local.node_index = static_cast<std::uint32_t>(index_);
-  local.hosted = {governor_->node()};
-  const wire::Welcome remote = handshake(conn, local, genesis_);
-  if (remote.role != wire::Role::kDriver) {
-    conn.refuse(wire::ProtocolError::kBadRole,
-                "cluster node: peer is not a driver");
-  }
+  accept_driver(conn, genesis_, index_, governor_->node(), /*incarnation=*/0,
+                /*head_serial=*/0);
 
   bool done = false;
   while (!done) {

@@ -60,8 +60,6 @@ class RemoteTimers final : public runtime::TimerService {
   /// unknown id — the driver and node schedules have diverged.
   void fire(std::uint64_t id);
 
-  [[nodiscard]] std::size_t armed_count() const { return armed_.size(); }
-
  private:
   std::vector<Effect>& effects_;
   SimTime now_ = 0;
@@ -144,15 +142,9 @@ class NodeHost {
   /// packet and rethrow.
   void serve(int fd);
 
-  [[nodiscard]] const crypto::Hash256& genesis() const { return genesis_; }
-  [[nodiscard]] protocol::Governor& governor() { return *governor_; }
-  [[nodiscard]] ledger::ValidationOracle& oracle() { return oracle_; }
-
  private:
   void handle(SyncConn& conn, const wire::Frame& frame, bool& done);
   void reply_done(SyncConn& conn);
-  [[nodiscard]] GovernorState state() const;
-  [[nodiscard]] GovernorSnapshotData snapshot() const;
 
   sim::ScenarioConfig config_;
   std::size_t index_;

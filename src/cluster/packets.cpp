@@ -116,14 +116,17 @@ std::vector<Effect> decode_effects(BytesView data) {
   });
 }
 
-Bytes encode_state(const GovernorState& s) {
+Bytes encode_state(const sim::GovernorState& s) {
   BinaryWriter w;
   w.boolean(s.leader.has_value());
   w.u32(s.leader ? s.leader->value() : 0);
   w.f64(s.expected_loss);
+  w.f64(s.realized_loss);
+  w.u64(s.mistakes);
   w.u64(s.argues_accepted);
   w.u64(s.validations);
-  w.boolean(s.chain_empty);
+  w.u64(s.head_serial);
+  w.raw(view(s.head_hash));
   w.u64(s.head_valid_txs);
   w.u32(static_cast<std::uint32_t>(s.shares.size()));
   for (const auto& [c, share] : s.shares) {
@@ -135,16 +138,19 @@ Bytes encode_state(const GovernorState& s) {
   return std::move(w).take();
 }
 
-GovernorState decode_state(BytesView data) {
+sim::GovernorState decode_state(BytesView data) {
   return decode_exact(data, [](BinaryReader& r) {
-    GovernorState s;
+    sim::GovernorState s;
     const bool has_leader = r.boolean();
     const std::uint32_t leader = r.u32();
     if (has_leader) s.leader = GovernorId(leader);
     s.expected_loss = r.f64();
+    s.realized_loss = r.f64();
+    s.mistakes = r.u64();
     s.argues_accepted = r.u64();
     s.validations = r.u64();
-    s.chain_empty = r.boolean();
+    s.head_serial = r.u64();
+    s.head_hash = r.raw_array<32>();
     s.head_valid_txs = r.u64();
     const std::uint32_t shares = r.u32();
     r.expect_count(shares, 12);
@@ -164,29 +170,23 @@ GovernorState decode_state(BytesView data) {
   });
 }
 
-Bytes encode_snapshot(const GovernorSnapshotData& s) {
+Bytes encode_snapshot(const std::vector<ledger::Block>& blocks) {
   BinaryWriter w;
-  w.u32(static_cast<std::uint32_t>(s.blocks.size()));
-  for (const ledger::Block& b : s.blocks) w.bytes(b.encode());
-  w.f64(s.expected_loss);
-  w.f64(s.realized_loss);
-  w.u64(s.mistakes);
+  w.u32(static_cast<std::uint32_t>(blocks.size()));
+  for (const ledger::Block& b : blocks) w.bytes(b.encode());
   return std::move(w).take();
 }
 
-GovernorSnapshotData decode_snapshot(BytesView data) {
+std::vector<ledger::Block> decode_snapshot(BytesView data) {
   return decode_exact(data, [](BinaryReader& r) {
-    GovernorSnapshotData s;
     const std::uint32_t n = r.u32();
     r.expect_count(n, 4);
-    s.blocks.reserve(n);
+    std::vector<ledger::Block> blocks;
+    blocks.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      s.blocks.push_back(ledger::Block::decode(r.bytes()));
+      blocks.push_back(ledger::Block::decode(r.bytes()));
     }
-    s.expected_loss = r.f64();
-    s.realized_loss = r.f64();
-    s.mistakes = r.u64();
-    return s;
+    return blocks;
   });
 }
 

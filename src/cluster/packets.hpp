@@ -11,7 +11,6 @@
 // so the lockstep replay stays bit-identical to the simulation.
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "ledger/transaction.hpp"
 #include "runtime/message.hpp"
 #include "runtime/trace.hpp"
+#include "sim/harness/observation.hpp"
 
 namespace repchain::cluster {
 
@@ -41,15 +41,15 @@ enum class ClusterPacket : std::uint16_t {
   kArmRound = 19,    // Governor::arm_round(round, t0, timing)
   kReveal = 20,      // audit: reveal_unchecked(txid)
   kQueryState = 21,
-  kSnapshot = 24,  // end-of-run chain + metrics
+  kSnapshot = 24,  // end-of-run chain
   kShutdown = 25,
   kFreeStart = 28,      // free-run: self-drive rounds from an aligned t0
   kQueryFreeStats = 29, // free-run probe: head + liveness counters
   kQueryBlockAt = 30,   // fork probe: hash of the block at a given serial
   // node -> driver
   kDone = 32,   // effects recorded while serving the request
-  kState = 33,  // GovernorState
-  kSnapshotData = 36,  // GovernorSnapshotData
+  kState = 33,  // sim::GovernorState
+  kSnapshotData = 36,  // the chain's blocks
   kFreeStats = 38,     // FreeRunStats
   kBlockHash = 39,     // BlockHashInfo
 };
@@ -84,22 +84,9 @@ struct Effect {
 [[nodiscard]] Bytes encode_effects(const std::vector<Effect>& effects);
 [[nodiscard]] std::vector<Effect> decode_effects(BytesView data);
 
-/// kQueryState reply: everything the lockstep driver reads of a node's
-/// state — the counters Observation probes each round, the reward sample's
-/// head block and revenue split, and the audit's unrevealed draws.
-struct GovernorState {
-  std::optional<GovernorId> leader;
-  double expected_loss = 0.0;
-  std::uint64_t argues_accepted = 0;
-  std::uint64_t validations = 0;  // the node-local oracle's count
-  bool chain_empty = true;
-  std::uint64_t head_valid_txs = 0;  // head-block txs not kUncheckedInvalid
-  std::vector<std::pair<CollectorId, double>> shares;  // revenue_shares()
-  std::vector<ledger::TxId> unrevealed;  // unrevealed_unchecked()
-};
-
-[[nodiscard]] Bytes encode_state(const GovernorState& s);
-[[nodiscard]] GovernorState decode_state(BytesView data);
+/// kQueryState reply: the hosted governor's sim::GovernorState.
+[[nodiscard]] Bytes encode_state(const sim::GovernorState& s);
+[[nodiscard]] sim::GovernorState decode_state(BytesView data);
 
 /// A node's chain-head identity, carried inside FreeRunStats: the free-run
 /// convergence contract compares it across survivors and restarted nodes.
@@ -113,16 +100,9 @@ struct HeadInfo {
 [[nodiscard]] Bytes encode_head(const HeadInfo& h);
 [[nodiscard]] HeadInfo decode_head(BytesView data);
 
-/// kSnapshotData reply: everything the end-of-run summary needs.
-struct GovernorSnapshotData {
-  std::vector<ledger::Block> blocks;
-  double expected_loss = 0.0;
-  double realized_loss = 0.0;
-  std::uint64_t mistakes = 0;
-};
-
-[[nodiscard]] Bytes encode_snapshot(const GovernorSnapshotData& s);
-[[nodiscard]] GovernorSnapshotData decode_snapshot(BytesView data);
+/// kSnapshotData reply: the hosted governor's chain, block by block.
+[[nodiscard]] Bytes encode_snapshot(const std::vector<ledger::Block>& blocks);
+[[nodiscard]] std::vector<ledger::Block> decode_snapshot(BytesView data);
 
 // --- Small request/reply payloads -------------------------------------------
 

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "common/errors.hpp"
 
@@ -118,6 +119,29 @@ wire::Welcome handshake(SyncConn& conn, const wire::Welcome& local,
   } catch (const wire::WireError& e) {
     conn.send_error(e.code(), e.what());
     throw;
+  }
+}
+
+std::size_t checked_governor_index(std::size_t index, std::size_t governors) {
+  if (index >= governors) {
+    throw ConfigError("cluster node: governor index " + std::to_string(index) +
+                      " out of range (" + std::to_string(governors) + " governors)");
+  }
+  return index;
+}
+
+void accept_driver(SyncConn& conn, const crypto::Hash256& genesis, std::size_t index,
+                   NodeId node, std::uint32_t incarnation, std::uint64_t head_serial) {
+  wire::Welcome local;
+  local.genesis = genesis;
+  local.role = wire::Role::kNode;
+  local.node_index = static_cast<std::uint32_t>(index);
+  local.hosted = {node};
+  local.resume = incarnation > 0;
+  local.incarnation = incarnation;
+  local.head_serial = head_serial;
+  if (handshake(conn, local, genesis).role != wire::Role::kDriver) {
+    conn.refuse(wire::ProtocolError::kBadRole, "cluster node: peer is not a driver");
   }
 }
 

@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/ids.hpp"
 #include "crypto/sha256.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
@@ -74,5 +75,18 @@ class SyncConn {
 /// WireError is rethrown.
 [[nodiscard]] wire::Welcome handshake(SyncConn& conn, const wire::Welcome& local,
                                       const crypto::Hash256& genesis);
+
+// --- Node bootstrap, shared by the lockstep and free-running node hosts -----
+
+/// `index` when it names one of `governors`; ConfigError otherwise.
+[[nodiscard]] std::size_t checked_governor_index(std::size_t index,
+                                                 std::size_t governors);
+
+/// Node side of the driver admission: present the welcome of governor
+/// `index` hosting `node` — a restarted life (`incarnation` > 0) announces
+/// session resume with its recovered `head_serial` — run handshake, and
+/// refuse a peer that is not the driver with kBadRole.
+void accept_driver(SyncConn& conn, const crypto::Hash256& genesis, std::size_t index,
+                   NodeId node, std::uint32_t incarnation, std::uint64_t head_serial);
 
 }  // namespace repchain::cluster

@@ -3,20 +3,70 @@
 #include "sim/harness/wiring.hpp"
 
 namespace repchain::sim {
+namespace {
 
-void Observation::begin_round(Round round, const CounterProbe& probe) {
-  pending_ = RoundRecord{};
-  pending_.round = round;
-  before_ = probe;
+const GovernorState* first_live(const GovernorStates& states) {
+  for (const auto& s : states) {
+    if (s) return &*s;
+  }
+  return nullptr;
 }
 
-void Observation::end_round(const CounterProbe& probe) {
+}  // namespace
+
+GovernorState read_governor_state(const protocol::Governor& governor,
+                                  std::uint64_t validations) {
+  GovernorState s;
+  s.leader = governor.round_leader();
+  s.expected_loss = governor.metrics().expected_loss;
+  s.realized_loss = governor.metrics().realized_loss;
+  s.mistakes = governor.metrics().mistakes;
+  s.argues_accepted = governor.metrics().argues_accepted;
+  s.validations = validations;
+  const ledger::ChainStore& chain = governor.chain();
+  s.head_serial = chain.height();
+  s.head_hash = chain.head_hash();
+  if (!chain.empty()) {
+    for (const auto& rec : chain.head().txs) {
+      if (rec.status != ledger::TxStatus::kUncheckedInvalid) ++s.head_valid_txs;
+    }
+  }
+  s.shares = governor.revenue_shares();
+  s.unrevealed = governor.unrevealed_unchecked();
+  return s;
+}
+
+Observation::Counters Observation::count(const Wiring& wiring,
+                                         const GovernorStates& states) {
+  Counters c;
+  c.validations = wiring.oracle_->validations();
+  c.messages = wiring.net_->stats().messages_sent;
+  if (const GovernorState* ref = first_live(states)) {
+    c.ref_expected_loss = ref->expected_loss;
+  }
+  for (const auto& s : states) {
+    if (!s) continue;
+    c.validations += s->validations;
+    c.argues += s->argues_accepted;
+  }
+  return c;
+}
+
+void Observation::begin_round(Round round, const Wiring& wiring,
+                              const GovernorStates& states) {
+  pending_ = RoundRecord{};
+  pending_.round = round;
+  before_ = count(wiring, states);
+}
+
+void Observation::end_round(const Wiring& wiring, const GovernorStates& states) {
+  const Counters after = count(wiring, states);
   pending_.leader = observer_.leader(pending_.round);
   pending_.block_txs = observer_.block_txs(pending_.round);
-  pending_.validations_delta = probe.validations - before_.validations;
-  pending_.messages_delta = probe.messages - before_.messages;
-  pending_.expected_loss_delta = probe.ref_expected_loss - before_.ref_expected_loss;
-  pending_.argues_delta = probe.argues - before_.argues;
+  pending_.validations_delta = after.validations - before_.validations;
+  pending_.messages_delta = after.messages - before_.messages;
+  pending_.expected_loss_delta = after.ref_expected_loss - before_.ref_expected_loss;
+  pending_.argues_delta = after.argues - before_.argues;
   history_.push_back(pending_);
   if (bounded_history_ != 0 && history_.size() > bounded_history_) {
     history_.erase(history_.begin(),
@@ -25,33 +75,37 @@ void Observation::end_round(const CounterProbe& probe) {
 }
 
 void Observation::sample_rewards(const ScenarioConfig& config,
-                                 const RewardSample& sample) {
+                                 const GovernorStates& states) {
   // Track leadership and distribute rewards from the leader's reputation.
-  if (!sample.leader) return;
-  leader_counts_[sample.leader->value()] += 1;
-  if (!sample.leader_live) return;  // leader crashed mid-round
-  if (sample.chain_empty) return;
+  const GovernorState* ref = first_live(states);
+  if (ref == nullptr || !ref->leader) return;  // no leader known
+  const std::size_t li = ref->leader->value();
+  leader_counts_[li] += 1;
+  const auto& leader = states[li];
+  if (!leader) return;  // leader crashed mid-round
+  if (leader->head_serial == 0) return;
   const double profit =
-      config.reward_per_valid_tx * static_cast<double>(sample.head_valid_txs);
+      config.reward_per_valid_tx * static_cast<double>(leader->head_valid_txs);
   if (profit > 0.0) {
-    for (const auto& [c, share] : sample.shares) {
+    for (const auto& [c, share] : leader->shares) {
       rewards_[c.value()] += profit * share;
     }
   }
 }
 
-void Observation::record_anchors(const Wiring& wiring, Round round) {
+void Observation::record_anchors(const Wiring& wiring, const GovernorStates& states,
+                                 Round round) {
   for (std::size_t s = 0; s < wiring.shard_directories_.size(); ++s) {
     const ShardId shard(static_cast<std::uint32_t>(s));
-    const ledger::ChainStore* ref = nullptr;
+    const GovernorState* ref = nullptr;
     for (const GovernorId g : wiring.router_.governors_of(shard)) {
-      if (wiring.governors_[g.value()]) {
-        ref = &wiring.governors_[g.value()]->chain();
+      if (states[g.value()]) {
+        ref = &*states[g.value()];
         break;
       }
     }
     if (ref == nullptr) continue;  // whole committee dead right now
-    const ledger::AnchorRecord rec = ledger::make_anchor(shard, round, *ref);
+    const ledger::AnchorRecord rec{shard, round, ref->head_serial, ref->head_hash};
     if (const auto prev = beacon_.latest(shard)) {
       // A reference replica that changed to a lagging restartee must not
       // regress the beacon; skip this interval instead.
@@ -61,14 +115,14 @@ void Observation::record_anchors(const Wiring& wiring, Round round) {
   }
 }
 
-ScenarioSummary Observation::summarize(const Wiring& wiring,
-                                       const std::vector<GovernorSnapshot>& governors,
-                                       std::uint64_t validations_total) const {
+ScenarioSummary Observation::summarize(
+    const Wiring& wiring, const std::vector<const ledger::ChainStore*>& chains,
+    const GovernorStates& states) const {
   ScenarioSummary s;
   for (const auto& p : wiring.providers_) s.txs_submitted += p.submitted();
   s.stalled_events = observer_.stalled_events();
   s.byzantine_evidence = observer_.byzantine_evidence();
-  s.validations_total = validations_total;
+  s.validations_total = count(wiring, states).validations;
   s.network = wiring.net_->stats();
 
   // Currently-dead governors are excluded: the summary reflects the view of
@@ -76,12 +130,12 @@ ScenarioSummary Observation::summarize(const Wiring& wiring,
   double exp_loss = 0.0, real_loss = 0.0;
   std::uint64_t mistakes = 0;
   std::size_t live = 0;
-  for (const GovernorSnapshot& g : governors) {
-    if (g.chain == nullptr) continue;
+  for (const auto& g : states) {
+    if (!g) continue;
     ++live;
-    exp_loss += g.expected_loss;
-    real_loss += g.realized_loss;
-    mistakes += g.mistakes;
+    exp_loss += g->expected_loss;
+    real_loss += g->realized_loss;
+    mistakes += g->mistakes;
   }
   if (live > 0) {
     const double m = static_cast<double>(live);
@@ -111,7 +165,7 @@ ScenarioSummary Observation::summarize(const Wiring& wiring,
     sh.chains_audit_ok = true;
     const ledger::ChainStore* ref = nullptr;
     for (const GovernorId g : router.governors_of(shard)) {
-      const ledger::ChainStore* chain = governors[g.value()].chain;
+      const ledger::ChainStore* chain = chains[g.value()];
       if (chain == nullptr) continue;
       sh.chains_audit_ok = sh.chains_audit_ok && chain->audit();
       s.anchors_ok = s.anchors_ok && beacon_.verify(shard, *chain);

@@ -2,22 +2,21 @@
 
 // Harness layer: passive measurement. Observation owns the RoundObserver
 // (fed by node trace events), the reward/leadership tallies, and the
-// per-round time series; it takes counter probes at round open and close,
+// per-round time series; it reduces governor states at round open and close,
 // assembles the RoundRecord, and renders the end-of-run ScenarioSummary.
 // It never injects events — everything here is read-only with respect to
 // the protocol run (sample_rewards mutates only its own tallies).
 //
-// Observation never reads a governor itself: the run's orchestrator gathers
-// every probe — Scenario from its in-process governors, the lockstep
-// cluster driver over RPC — and both hand over the same structs in the same
-// order, so a cluster run and a simulated run accumulate bit-identical
-// tallies.
+// Observation never holds a governor: the round loop reads each one's
+// GovernorState through its GovernorLink — in process or over RPC — so a
+// cluster run and a simulated run accumulate bit-identical tallies.
 
 #include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "ledger/anchor.hpp"
 #include "ledger/chain.hpp"
 #include "sim/harness/spec.hpp"
@@ -27,30 +26,32 @@ namespace repchain::sim {
 
 struct Wiring;
 
-/// Counters probed at both edges of a round.
-struct CounterProbe {
-  std::uint64_t validations = 0;  // oracle validations, all replicas summed
-  std::uint64_t messages = 0;     // network messages_sent
-  double ref_expected_loss = 0.0;  // first live governor's L
-  std::uint64_t argues = 0;        // argues_accepted over all live governors
-};
-
-/// What the reward timer needs from the current leader.
-struct RewardSample {
-  std::optional<GovernorId> leader;
-  bool leader_live = false;
-  bool chain_empty = true;
-  std::size_t head_valid_txs = 0;  // head-block txs not kUncheckedInvalid
-  std::vector<std::pair<CollectorId, double>> shares;  // leader's revenue split
-};
-
-/// One governor's end-of-run state for the summary.
-struct GovernorSnapshot {
-  const ledger::ChainStore* chain = nullptr;  // null = currently dead
+/// Everything the round loop reads of one live governor: the counters the
+/// round edges probe, the leader's head block and revenue split for the
+/// reward timer, the head the anchor step commits, the audit's draws, and
+/// the losses the summary averages.
+struct GovernorState {
+  std::optional<GovernorId> leader;  // this replica's view of the round leader
   double expected_loss = 0.0;
   double realized_loss = 0.0;
   std::uint64_t mistakes = 0;
+  std::uint64_t argues_accepted = 0;
+  /// Validations by this governor's own oracle replica; 0 for a governor
+  /// sharing the harness oracle, which is counted once on its own.
+  std::uint64_t validations = 0;
+  std::uint64_t head_serial = 0;     // 0 = empty chain
+  crypto::Hash256 head_hash{};       // zero hash when the chain is empty
+  std::uint64_t head_valid_txs = 0;  // head-block txs not kUncheckedInvalid
+  std::vector<std::pair<CollectorId, double>> shares;  // revenue_shares()
+  std::vector<ledger::TxId> unrevealed;  // unrevealed_unchecked()
 };
+
+/// One entry per governor, in governor order; nullopt = currently dead.
+using GovernorStates = std::vector<std::optional<GovernorState>>;
+
+/// Read `governor`'s state; `validations` is its own oracle replica's count.
+[[nodiscard]] GovernorState read_governor_state(const protocol::Governor& governor,
+                                                std::uint64_t validations);
 
 class Observation {
  public:
@@ -68,30 +69,31 @@ class Observation {
   }
 
   /// Record the before-counters of a new round.
-  void begin_round(Round round, const CounterProbe& probe);
-  /// Assemble and append the round's RoundRecord from the probes, the
-  /// observer, and the after-counters.
-  void end_round(const CounterProbe& probe);
+  void begin_round(Round round, const Wiring& wiring, const GovernorStates& states);
+  /// Assemble and append the round's RoundRecord from the observer and the
+  /// after-counters.
+  void end_round(const Wiring& wiring, const GovernorStates& states);
 
   /// Timer target: leadership tally + collector reward split (leader-share
-  /// based, §3.4.3).
-  void sample_rewards(const ScenarioConfig& config, const RewardSample& sample);
+  /// based, §3.4.3). The first live replica names the leader; the leader's
+  /// own state supplies its head block and revenue split.
+  void sample_rewards(const ScenarioConfig& config, const GovernorStates& states);
 
-  /// Cross-shard anchoring: commit every committee's reference-replica chain
-  /// head into the beacon at `round`. An anchor that would regress its
+  /// Cross-shard anchoring: commit every committee's first live replica's
+  /// chain head into the beacon at `round`. An anchor that would regress its
   /// shard's previous one (reference replica changed to a lagging restartee)
   /// is skipped rather than recorded — the beacon stays monotone.
-  void record_anchors(const Wiring& wiring, Round round);
+  void record_anchors(const Wiring& wiring, const GovernorStates& states,
+                      Round round);
   [[nodiscard]] const ledger::BeaconLog& beacon() const { return beacon_; }
 
-  /// Aggregate a finished (or in-flight) run into a ScenarioSummary.
-  /// `governors` holds one snapshot per governor, in governor order;
-  /// `validations_total` counts oracle validations across every replica.
-  /// The wiring supplies the providers, collectors, network and committee
-  /// partition; its governor slots are not read.
+  /// Aggregate a finished (or in-flight) run into a ScenarioSummary from
+  /// every governor's chain (null = dead) and state, in governor order. The
+  /// wiring supplies the providers, collectors, network, harness oracle and
+  /// committee partition; its governor slots are not read.
   [[nodiscard]] ScenarioSummary summarize(
-      const Wiring& wiring, const std::vector<GovernorSnapshot>& governors,
-      std::uint64_t validations_total) const;
+      const Wiring& wiring, const std::vector<const ledger::ChainStore*>& chains,
+      const GovernorStates& states) const;
 
   [[nodiscard]] RoundObserver& observer() { return observer_; }
   [[nodiscard]] const RoundObserver& observer() const { return observer_; }
@@ -102,6 +104,16 @@ class Observation {
   [[nodiscard]] const std::vector<RoundRecord>& history() const { return history_; }
 
  private:
+  /// The counters a round's record is the difference of.
+  struct Counters {
+    std::uint64_t validations = 0;   // harness oracle + every node replica
+    std::uint64_t messages = 0;      // network messages_sent
+    double ref_expected_loss = 0.0;  // first live governor's L
+    std::uint64_t argues = 0;        // argues_accepted over live governors
+  };
+  [[nodiscard]] static Counters count(const Wiring& wiring,
+                                      const GovernorStates& states);
+
   RoundObserver observer_;
   std::vector<double> rewards_;
   std::vector<std::uint64_t> leader_counts_;
@@ -109,9 +121,9 @@ class Observation {
   ledger::BeaconLog beacon_;
   std::size_t bounded_history_ = 0;
 
-  // Probes captured by begin_round, consumed by end_round.
+  // Captured by begin_round, consumed by end_round.
   RoundRecord pending_;
-  CounterProbe before_;
+  Counters before_;
 };
 
 }  // namespace repchain::sim

@@ -35,8 +35,8 @@ std::string hexf(double v) {
 
 }  // namespace
 
-RunResult simulate_run(ScenarioConfig config) {
-  Scenario scenario(std::move(config));
+RunResult simulate_run(ScenarioConfig config, GovernorLink* remote) {
+  Scenario scenario(std::move(config), remote);
   scenario.run();
   RunResult r;
   r.summary = scenario.summary();
@@ -63,6 +63,22 @@ Bytes encode_run_result(const RunResult& r) {
   w.f64(s.mean_governor_realized_loss);
   w.u64(s.mean_governor_mistakes);
   encode_network(w, s.network);
+  w.u32(static_cast<std::uint32_t>(s.shards.size()));
+  for (const ShardSummary& sh : s.shards) {
+    w.u32(sh.shard.value());
+    w.u64(sh.providers);
+    w.u64(sh.collectors);
+    w.u64(sh.governors);
+    w.u64(sh.blocks);
+    w.u64(sh.chain_valid_txs);
+    w.u64(sh.chain_unchecked_txs);
+    w.u64(sh.chain_argued_txs);
+    w.boolean(sh.agreement);
+    w.boolean(sh.chains_audit_ok);
+  }
+  w.u64(s.cross_shard_rejected);
+  w.u64(s.anchors_recorded);
+  w.boolean(s.anchors_ok);
   w.u32(static_cast<std::uint32_t>(r.history.size()));
   for (const RoundRecord& rec : r.history) {
     w.u64(rec.round);
@@ -116,6 +132,19 @@ std::string render_run_result(const RunResult& r) {
                   static_cast<unsigned>(kind), bytes);
     out += line;
   }
+  for (const ShardSummary& sh : s.shards) {
+    std::snprintf(line, sizeof(line),
+                  "shard %u: providers=%zu collectors=%zu governors=%zu blocks=%" PRIu64
+                  " valid=%" PRIu64 " unchecked=%" PRIu64 " argued=%" PRIu64
+                  " agreement=%d audit=%d\n",
+                  static_cast<unsigned>(sh.shard.value()), sh.providers, sh.collectors,
+                  sh.governors, sh.blocks, sh.chain_valid_txs, sh.chain_unchecked_txs,
+                  sh.chain_argued_txs, sh.agreement ? 1 : 0, sh.chains_audit_ok ? 1 : 0);
+    out += line;
+  }
+  field("cross_shard_rejected", s.cross_shard_rejected);
+  field("anchors_recorded", s.anchors_recorded);
+  field("anchors_ok", s.anchors_ok ? 1 : 0);
   for (const RoundRecord& rec : r.history) {
     std::snprintf(line, sizeof(line),
                   "round %" PRIu64 ": leader=%d block_txs=%zu validations=%" PRIu64

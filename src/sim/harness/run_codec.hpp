@@ -16,6 +16,8 @@
 
 namespace repchain::sim {
 
+class GovernorLink;
+
 /// Everything a run reports: the aggregate summary, the per-round time
 /// series, and the reward/leadership tallies.
 struct RunResult {
@@ -27,9 +29,11 @@ struct RunResult {
 
 [[nodiscard]] Bytes encode_run_result(const RunResult& r);
 
-/// Run `config` to completion in-process and collect its RunResult — the
-/// reference side of the socket-vs-simulated compare.
-[[nodiscard]] RunResult simulate_run(ScenarioConfig config);
+/// Run `config` to completion and collect its RunResult: in process (the
+/// reference side of the socket-vs-simulated compare), or with the governors
+/// behind a `remote` link (the lockstep cluster run).
+[[nodiscard]] RunResult simulate_run(ScenarioConfig config,
+                                     GovernorLink* remote = nullptr);
 
 /// Human-readable rendering (one field per line, doubles as hexfloats) for
 /// the socket-vs-simulated diff artifact uploaded on a failed compare.

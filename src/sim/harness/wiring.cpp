@@ -7,10 +7,45 @@
 #include "storage/file_state_store.hpp"
 
 namespace repchain::sim {
+namespace {
+
+/// The in-process GovernorLink: every operation runs on Wiring's governor
+/// slot, and a dead (null) slot ignores it.
+class LocalGovernors final : public GovernorLink {
+ public:
+  void bind(Wiring& wiring) override { wiring_ = &wiring; }
+
+  void deliver(std::size_t i, const runtime::Message& msg) override {
+    if (auto* g = at(i)) g->on_message(msg);
+  }
+  void arm_round(std::size_t i, Round round, SimTime t0) override {
+    if (auto* g = at(i)) g->arm_round(round, t0, wiring_->timing_);
+  }
+  std::optional<GovernorState> state(std::size_t i) override {
+    if (auto* g = at(i)) return read_governor_state(*g, 0);  // shared oracle
+    return std::nullopt;
+  }
+  void reveal(std::size_t i, const ledger::TxId& id) override {
+    if (auto* g = at(i)) (void)g->reveal_unchecked(id);
+  }
+  const ledger::ChainStore* snapshot(std::size_t i) override {
+    auto* g = at(i);
+    return g ? &g->chain() : nullptr;
+  }
+
+ private:
+  [[nodiscard]] protocol::Governor* at(std::size_t i) {
+    return wiring_->governors_[i].get();
+  }
+
+  Wiring* wiring_ = nullptr;
+};
+
+}  // namespace
 
 Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue,
-               RoundObserver& observer, RemoteGovernorLink* remote)
-    : config_(config), rng_(rng), remote_(remote) {
+               RoundObserver& observer, GovernorLink* remote)
+    : config_(config), rng_(rng) {
   net_ = std::make_unique<net::SimNetwork>(queue, rng_.derive(1), config_.latency);
   transport_ = net_.get();
   oracle_ = std::make_unique<ledger::ValidationOracle>(config_.validation_cost);
@@ -50,7 +85,6 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
     shard_groups_.push_back(std::make_unique<runtime::AtomicBroadcastGroup>(
         *transport_, shard_dir.governor_nodes()));
   }
-  governor_group_ = shard_groups_.front().get();
 
   // Instantiate nodes behind their runtime contexts (deques keep references
   // stable while wiring handlers).
@@ -113,15 +147,14 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
                                 rng_.derive(salt::governor(i)), &observer);
     governors_.emplace_back();
     governor_epochs_.push_back(0);
-    if (remote_ == nullptr) make_governor(i);  // remote: slot stays null
+    if (remote == nullptr) make_governor(i);  // remote: slot stays null
     net_->set_handler(directory_.node_of(id), [this, i](const net::Message& m) {
-      if (remote_ != nullptr) {
-        remote_->deliver(i, m);
-      } else if (governors_[i]) {
-        governors_[i]->on_message(m);  // null slot = crashed
-      }
+      link_->deliver(i, m);
     });
   }
+  if (remote == nullptr) local_ = std::make_unique<LocalGovernors>();
+  link_ = remote != nullptr ? remote : local_.get();
+  link_->bind(*this);
 }
 
 Wiring::~Wiring() = default;
@@ -155,11 +188,11 @@ void Wiring::restart_governor(std::size_t i) {
   governors_[i]->sync_chain();
 }
 
-const protocol::Governor* Wiring::first_live_governor() const {
-  for (const auto& g : governors_) {
-    if (g) return g.get();
-  }
-  return nullptr;
+GovernorStates Wiring::governor_states() {
+  GovernorStates states;
+  states.reserve(governors_.size());
+  for (std::size_t i = 0; i < governors_.size(); ++i) states.push_back(link_->state(i));
+  return states;
 }
 
 }  // namespace repchain::sim

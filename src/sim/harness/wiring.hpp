@@ -9,6 +9,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -22,6 +23,7 @@
 #include "runtime/atomic_broadcast.hpp"
 #include "runtime/fault_schedule.hpp"
 #include "runtime/node_context.hpp"
+#include "sim/harness/observation.hpp"
 #include "sim/harness/spec.hpp"
 #include "sim/harness/system_model.hpp"
 #include "sim/topology.hpp"
@@ -30,14 +32,32 @@
 namespace repchain::sim {
 
 class RoundObserver;
+struct Wiring;
 
-/// Cluster seam: when a run hosts its governors in separate processes, the
-/// driver installs this link and Wiring forwards every network delivery
-/// addressed to governor `index` instead of constructing a local object.
-class RemoteGovernorLink {
+/// The one seam through which the round loop reaches governor i. Wiring
+/// installs the in-process implementation over its governor slots; a
+/// lockstep cluster run passes one that forwards each operation to the
+/// node process hosting governor i. Either way the loop itself — round
+/// order, audit draws, anchor cadence — is Scenario's alone.
+class GovernorLink {
  public:
-  virtual ~RemoteGovernorLink() = default;
-  virtual void deliver(std::size_t index, const runtime::Message& msg) = 0;
+  GovernorLink() = default;
+  GovernorLink(const GovernorLink&) = delete;
+  GovernorLink& operator=(const GovernorLink&) = delete;
+  virtual ~GovernorLink() = default;
+  /// Called once, at the end of Wiring's constructor, before any operation.
+  virtual void bind(Wiring& wiring) = 0;
+  /// A network delivery addressed to governor i.
+  virtual void deliver(std::size_t i, const runtime::Message& msg) = 0;
+  /// Arm governor i's phase timers for `round`, starting at `t0`.
+  virtual void arm_round(std::size_t i, Round round, SimTime t0) = 0;
+  /// Governor i's state; nullopt while it is dead.
+  [[nodiscard]] virtual std::optional<GovernorState> state(std::size_t i) = 0;
+  /// Audit: surface an unrevealed unchecked transaction's truth.
+  virtual void reveal(std::size_t i, const ledger::TxId& id) = 0;
+  /// Governor i's chain for the end-of-run summary (null while it is dead),
+  /// valid until the next snapshot of i.
+  [[nodiscard]] virtual const ledger::ChainStore* snapshot(std::size_t i) = 0;
 };
 
 /// Builds the whole system — identity manager, simulated network, per-node
@@ -49,10 +69,11 @@ class RemoteGovernorLink {
 struct Wiring {
   /// `config` must already be normalized (validated, implied flags applied)
   /// and must outlive the Wiring; governor rebuilds re-read it. With a
-  /// non-null `remote`, governor slots stay empty and deliveries to governor
-  /// nodes are forwarded through the link (multi-process cluster runs).
+  /// non-null `remote` (which must outlive the Wiring), governor slots stay
+  /// empty and every governor operation goes through that link
+  /// (multi-process cluster runs).
   Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue,
-         RoundObserver& observer, RemoteGovernorLink* remote = nullptr);
+         RoundObserver& observer, GovernorLink* remote = nullptr);
   ~Wiring();
 
   Wiring(const Wiring&) = delete;
@@ -66,7 +87,8 @@ struct Wiring {
   void crash_governor(std::size_t i);
   /// Rebuild governor `i` from its store and start catching up with peers.
   void restart_governor(std::size_t i);
-  [[nodiscard]] const protocol::Governor* first_live_governor() const;
+  /// Every governor's state, read through the link.
+  [[nodiscard]] GovernorStates governor_states();
 
   /// Absolute start time of 1-based round `r`.
   [[nodiscard]] SimTime round_start(std::size_t r) const {
@@ -93,10 +115,6 @@ struct Wiring {
   std::vector<protocol::Directory> shard_directories_;
   std::vector<protocol::StakeLedger> shard_genesis_;
   std::vector<std::unique_ptr<runtime::AtomicBroadcastGroup>> shard_groups_;
-  // The shard-0 group; the committee every governor of a classic run is in.
-  // Kept as a named alias because the cluster driver (single-committee by
-  // require_cluster_runnable) re-broadcasts through it.
-  runtime::AtomicBroadcastGroup* governor_group_ = nullptr;
   protocol::RoundTiming timing_;
 
   // deques: node objects must never relocate (handlers, contexts and the
@@ -123,8 +141,9 @@ struct Wiring {
   // collectors' baseline behaviors (restored when a Byzantine window ends).
   std::vector<adversary::GovernorByzantine> governor_byz_;
   std::vector<protocol::CollectorBehavior> collector_baselines_;
-  // Cluster seam (null for ordinary in-process runs).
-  RemoteGovernorLink* remote_ = nullptr;
+  // The governor seam: `local_` over the slots above, or the remote link.
+  std::unique_ptr<GovernorLink> local_;
+  GovernorLink* link_ = nullptr;
 };
 
 }  // namespace repchain::sim

@@ -5,46 +5,64 @@
 
 namespace repchain::sim {
 
-void Workload::inject(Round round) {
-  Rng workload = rng_.derive(salt::workload(round));
+std::vector<TxDraw> draw_workload(const ScenarioConfig& config, const Rng& rng,
+                                  Round round, const protocol::ShardRouter& router,
+                                  const protocol::Directory& directory) {
+  Rng workload = rng.derive(salt::workload(round));
   // cross_shard_probability == 0 must not touch the workload stream at all
   // (no gating draw), so classic runs replay byte-identically.
-  const bool cross_enabled = config_.cross_shard_probability > 0.0;
-  for (auto& p : wiring_.providers_) {
-    for (std::size_t t = 0; t < config_.txs_per_provider_per_round; ++t) {
-      const bool valid = workload.bernoulli(config_.p_valid);
-      Bytes payload = workload.bytes(24);
-      if (cross_enabled && workload.bernoulli(config_.cross_shard_probability)) {
-        // Misrouted traffic: aim the signed transaction at a collector in a
-        // *foreign* committee, which must refuse it with the cross-shard
-        // code rather than uploading it.
-        const ShardId home = wiring_.router_.shard_of(p.id());
+  const bool cross_enabled = config.cross_shard_probability > 0.0;
+  std::vector<TxDraw> draws;
+  draws.reserve(config.topology.providers * config.txs_per_provider_per_round);
+  for (std::size_t p = 0; p < config.topology.providers; ++p) {
+    for (std::size_t t = 0; t < config.txs_per_provider_per_round; ++t) {
+      TxDraw d{.provider = p,
+               .valid = workload.bernoulli(config.p_valid),
+               .payload = workload.bytes(24),
+               .foreign = {}};
+      if (cross_enabled && workload.bernoulli(config.cross_shard_probability)) {
+        const ShardId home = router.shard_of(ProviderId(static_cast<std::uint32_t>(p)));
         std::vector<CollectorId> foreign;
-        for (const CollectorId c : wiring_.directory_.collectors()) {
-          if (wiring_.router_.shard_of(c) != home) foreign.push_back(c);
+        for (const CollectorId c : directory.collectors()) {
+          if (router.shard_of(c) != home) foreign.push_back(c);
         }
-        const CollectorId target = foreign[workload.uniform(foreign.size())];
-        (void)p.submit_to(wiring_.directory_.node_of(target), std::move(payload),
-                          valid);
-      } else {
-        (void)p.submit(std::move(payload), valid);
+        d.foreign = foreign[workload.uniform(foreign.size())];
       }
-      // Spread submissions a little so aggregation windows interleave.
-      queue_.run_until(queue_.now() + 1 * kMillisecond);
+      draws.push_back(std::move(d));
     }
+  }
+  return draws;
+}
+
+void submit_draw(protocol::Provider& provider, const protocol::Directory& directory,
+                 TxDraw&& draw) {
+  if (draw.foreign) {
+    (void)provider.submit_to(directory.node_of(*draw.foreign), std::move(draw.payload),
+                             draw.valid);
+  } else {
+    (void)provider.submit(std::move(draw.payload), draw.valid);
   }
 }
 
-void Workload::run_audit(Round round) {
+void inject_workload(Wiring& wiring, runtime::EventLoop& queue, Round round) {
+  for (TxDraw& d : draw_workload(wiring.config_, wiring.rng_, round, wiring.router_,
+                                 wiring.directory_)) {
+    submit_draw(wiring.providers_[d.provider], wiring.directory_, std::move(d));
+    // Spread submissions a little so aggregation windows interleave.
+    queue.run_until(queue.now() + 1 * kMillisecond);
+  }
+}
+
+void run_audit(Wiring& wiring, Round round) {
   // One shared stream consumed in governor order keeps the draw sequence
   // deterministic.
-  Rng audit = rng_.derive(salt::audit(round));
-  for (auto& g : wiring_.governors_) {
-    if (!g) continue;
-    for (const auto& id : g->unrevealed_unchecked()) {
-      if (audit.bernoulli(config_.audit_probability)) {
-        (void)g->reveal_unchecked(id);
-      }
+  Rng audit = wiring.rng_.derive(salt::audit(round));
+  GovernorLink& link = *wiring.link_;
+  for (std::size_t i = 0; i < wiring.governors_.size(); ++i) {
+    const std::optional<GovernorState> state = link.state(i);
+    if (!state) continue;
+    for (const ledger::TxId& id : state->unrevealed) {
+      if (audit.bernoulli(wiring.config_.audit_probability)) link.reveal(i, id);
     }
   }
 }

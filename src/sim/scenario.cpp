@@ -2,57 +2,20 @@
 
 #include "sim/harness/fault_plan.hpp"
 #include "sim/harness/spec_codec.hpp"
+#include "sim/harness/workload.hpp"
 
 namespace repchain::sim {
-namespace {
 
-// The in-process probes Observation consumes (the lockstep cluster driver
-// gathers the same structs over RPC). Governor 0 — or the first live one —
-// is the reference replica.
-
-CounterProbe probe_counters(const Wiring& wiring) {
-  CounterProbe p;
-  p.validations = wiring.oracle_->validations();
-  p.messages = wiring.net_->stats().messages_sent;
-  const protocol::Governor* ref = wiring.first_live_governor();
-  p.ref_expected_loss = ref ? ref->metrics().expected_loss : 0.0;
-  for (const auto& g : wiring.governors_) {
-    if (g) p.argues += g->metrics().argues_accepted;
-  }
-  return p;
-}
-
-RewardSample reward_sample(const Wiring& wiring) {
-  RewardSample sample;
-  const protocol::Governor* ref = wiring.first_live_governor();
-  if (ref == nullptr) return sample;  // no leader known: nothing tallied
-  sample.leader = ref->round_leader();
-  if (!sample.leader) return sample;
-  const auto& leader = wiring.governors_[sample.leader->value()];
-  sample.leader_live = leader != nullptr;
-  if (sample.leader_live) {
-    sample.chain_empty = leader->chain().empty();
-    if (!sample.chain_empty) {
-      for (const auto& rec : leader->chain().head().txs) {
-        if (rec.status != ledger::TxStatus::kUncheckedInvalid) ++sample.head_valid_txs;
-      }
-      sample.shares = leader->revenue_shares();
-    }
-  }
-  return sample;
-}
-
-}  // namespace
-
-Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)), rng_(config_.seed) {
+Scenario::Scenario(ScenarioConfig config, GovernorLink* remote)
+    : config_(std::move(config)), rng_(config_.seed) {
   // Normalize the spec before any machinery sees it: validation plus the
   // implied-flag rules that make attack/fault configs self-consistent.
   normalize_config(config_);
 
-  wiring_ = std::make_unique<Wiring>(config_, rng_, queue_, observation_.observer());
+  wiring_ = std::make_unique<Wiring>(config_, rng_, queue_, observation_.observer(),
+                                     remote);
   observation_.observer().watch(wiring_->directory_.node_of(GovernorId(0)));
   FaultPlan::install_adversary(config_, *wiring_, queue_);
-  workload_ = std::make_unique<Workload>(config_, rng_, queue_, *wiring_);
 
   observation_.init(config_.topology.collectors, config_.topology.governors);
   observation_.set_bounded_history(config_.bounded_history);
@@ -66,54 +29,52 @@ void Scenario::run_round() {
   // Scheduled restarts happen at the round boundary, before timers are
   // armed, so the recovered governor takes part in this round's election.
   FaultPlan::apply_restarts(config_, *wiring_, round_);
-  observation_.begin_round(round_, probe_counters(*wiring_));
+  observation_.begin_round(round_, *wiring_, wiring_->governor_states());
 
   // Arm every node's phase timers (election -> screening settle -> propose ->
   // stake consensus -> audit). Node order fixes the FIFO tie-break for timers
   // sharing a deadline.
   const protocol::RoundTiming& timing = wiring_->timing_;
-  for (auto& g : wiring_->governors_) {
-    if (g) g->arm_round(round_, t0, timing);
+  for (std::size_t i = 0; i < wiring_->governors_.size(); ++i) {
+    wiring_->link_->arm_round(i, round_, t0);
   }
   for (auto& p : wiring_->providers_) p.arm_round(t0, timing);
   queue_.schedule_at(t0 + timing.rewards_offset, [this] {
-    observation_.sample_rewards(config_, reward_sample(*wiring_));
+    observation_.sample_rewards(config_, wiring_->governor_states());
   });
   if (config_.audit_probability > 0.0) {
     queue_.schedule_at(t0 + timing.audit_offset,
-                       [this] { workload_->run_audit(round_); });
+                       [this] { run_audit(*wiring_, round_); });
   }
   // Scheduled crashes fire mid-round at their configured offset.
   FaultPlan::schedule_crashes(config_, *wiring_, queue_, round_, t0);
 
   // Collecting phase: inject the workload once the election has settled.
   queue_.run_until(t0 + timing.workload_offset);
-  workload_->inject(round_);
+  inject_workload(*wiring_, queue_, round_);
 
   // The armed timers drive every remaining phase; just run the clock to the
   // round boundary.
   queue_.run_until(t0 + timing.round_span);
 
-  observation_.end_round(probe_counters(*wiring_));
+  const GovernorStates states = wiring_->governor_states();
+  observation_.end_round(*wiring_, states);
 
   // Cross-shard anchoring: commit every committee's chain head into the
   // beacon at the interval boundary (pure observation — no messages, no RNG,
   // so classic fixed-seed runs are untouched).
   if (round_ % config_.anchor_interval == 0) {
-    observation_.record_anchors(*wiring_, round_);
+    observation_.record_anchors(*wiring_, states, round_);
   }
 }
 
 ScenarioSummary Scenario::summary() const {
-  std::vector<GovernorSnapshot> snapshots;
-  snapshots.reserve(wiring_->governors_.size());
-  for (const auto& g : wiring_->governors_) {
-    snapshots.push_back(g ? GovernorSnapshot{&g->chain(), g->metrics().expected_loss,
-                                             g->metrics().realized_loss,
-                                             g->metrics().mistakes}
-                          : GovernorSnapshot{});
+  std::vector<const ledger::ChainStore*> chains;
+  chains.reserve(wiring_->governors_.size());
+  for (std::size_t i = 0; i < wiring_->governors_.size(); ++i) {
+    chains.push_back(wiring_->link_->snapshot(i));
   }
-  return observation_.summarize(*wiring_, snapshots, wiring_->oracle_->validations());
+  return observation_.summarize(*wiring_, chains, wiring_->governor_states());
 }
 
 void Scenario::run() {

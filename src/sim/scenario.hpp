@@ -15,7 +15,6 @@
 #include "sim/harness/observation.hpp"
 #include "sim/harness/spec.hpp"
 #include "sim/harness/wiring.hpp"
-#include "sim/harness/workload.hpp"
 #include "sim/round_observer.hpp"
 
 namespace repchain::sim {
@@ -27,7 +26,10 @@ namespace repchain::sim {
 /// the RoundRecord from emitted trace events.
 class Scenario {
  public:
-  explicit Scenario(ScenarioConfig config);
+  /// With a non-null `remote` (which must outlive the Scenario) the
+  /// governors live behind that link — the lockstep cluster run — and the
+  /// governor accessors below see only empty slots.
+  explicit Scenario(ScenarioConfig config, GovernorLink* remote = nullptr);
   ~Scenario();
 
   Scenario(const Scenario&) = delete;
@@ -120,7 +122,6 @@ class Scenario {
   Observation observation_;  // declared before wiring_: governor contexts
                              // capture a pointer to its RoundObserver
   std::unique_ptr<Wiring> wiring_;
-  std::unique_ptr<Workload> workload_;
 
   Round round_ = 0;
 };

@@ -3,9 +3,11 @@
 // asserted byte-for-byte against the simulation inside one test binary, and
 // lets the admission failures (wrong genesis, future version, bad role) be
 // driven from hand-crafted welcomes, against lockstep and free-running nodes
-// alike. The free-running cluster's crash-plan vocabulary, session-resume
-// welcome and the launcher's respawn admission check are covered here too;
-// its multi-process kill/restart runs are the cluster_* ctest entries.
+// alike, and RemoteGovernors' validation of node replies from hand-crafted
+// replies.
+// The free-running cluster's crash-plan vocabulary, session-resume welcome
+// and the launcher's respawn admission check are covered here too; its
+// multi-process kill/restart runs are the cluster_* ctest entries.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/driver.hpp"
@@ -116,8 +119,9 @@ TEST(Cluster, LockstepReplayMatchesSimulationByteForByte) {
     conns[remote.node_index] = std::move(conn);
   }
 
-  ClusterRun run(config, std::move(conns));
-  const sim::RunResult socketed = run.run();
+  RemoteGovernors remote(std::move(conns));
+  const sim::RunResult socketed = sim::simulate_run(config, &remote);
+  remote.shutdown();
   const sim::RunResult simulated = sim::simulate_run(config);
 
   EXPECT_EQ(sim::encode_run_result(socketed), sim::encode_run_result(simulated))
@@ -126,6 +130,85 @@ TEST(Cluster, LockstepReplayMatchesSimulationByteForByte) {
       << sim::render_run_result(socketed);
   for (const auto& host : hosts) {
     EXPECT_EQ(host->error, wire::ProtocolError::kNone);
+  }
+}
+
+/// small_config()'s network id of governor `g`: ids run providers,
+/// collectors, governors.
+NodeId governor_node(std::uint32_t g) {
+  const sim::ScenarioConfig config = small_config();
+  return NodeId(static_cast<std::uint32_t>(config.topology.providers +
+                                           config.topology.collectors) + g);
+}
+
+/// A lockstep run of small_config() in which governor 1 is a real NodeHost
+/// and governor 0 a stand-in thread: it handshakes, answers its first
+/// requests with `replies` (ground-truth frames aside), one each, and hangs
+/// up. Returns the code of the WireError the run fails with.
+wire::ProtocolError lockstep_against(
+    const std::vector<std::pair<ClusterPacket, Bytes>>& replies) {
+  const sim::ScenarioConfig config = small_config();
+  const crypto::Hash256 genesis = genesis_of(config);
+  const auto [driver0, node0] = stream_pair();
+  const auto [driver1, node1] = stream_pair();
+  HostThread stand_in([&, node0] {
+    SyncConn conn(node0);
+    accept_driver(conn, genesis, 0, governor_node(0), 0, 0);
+    for (const auto& [type, payload] : replies) {
+      wire::Frame request = conn.recv_frame();
+      while (request.type == static_cast<std::uint16_t>(ClusterPacket::kRegisterTx)) {
+        request = conn.recv_frame();
+      }
+      conn.send_frame(static_cast<std::uint16_t>(type), payload);
+    }
+  });
+  HostThread real(node_host(config, 1, node1));
+
+  std::vector<std::unique_ptr<SyncConn>> conns;
+  for (const int fd : {driver0, driver1}) {
+    conns.push_back(std::make_unique<SyncConn>(fd));
+    (void)handshake(*conns.back(), driver_welcome(genesis), genesis);
+  }
+  RemoteGovernors remote(std::move(conns));
+  try {
+    (void)sim::simulate_run(config, &remote);
+  } catch (const wire::WireError& e) {
+    return e.code();
+  }
+  return wire::ProtocolError::kNone;
+}
+
+TEST(Cluster, LockstepDriverRefusesALeaderPastTheGovernorCount) {
+  sim::GovernorState state;
+  state.leader = GovernorId(2);  // small_config has governors 0 and 1
+  EXPECT_EQ(lockstep_against({{ClusterPacket::kState, encode_state(state)}}),
+            wire::ProtocolError::kBadPayload);
+}
+
+TEST(Cluster, LockstepDriverRefusesARevenueShareOfAnUnknownCollector) {
+  sim::GovernorState state;
+  state.shares = {{CollectorId(0), 0.5}, {CollectorId(2), 0.5}};  // 2 collectors
+  EXPECT_EQ(lockstep_against({{ClusterPacket::kState, encode_state(state)}}),
+            wire::ProtocolError::kBadPayload);
+}
+
+TEST(Cluster, LockstepDriverRefusesEffectsSentAsAnotherNode) {
+  const NodeId impostors[] = {governor_node(1), NodeId(1000)};  // 1000: nobody
+  const Effect::Kind sends[] = {Effect::Kind::kSend, Effect::Kind::kMulticast,
+                                Effect::Kind::kBroadcast};
+  for (const Effect::Kind kind : sends) {
+    for (const NodeId from : impostors) {
+      Effect e;
+      e.kind = kind;
+      e.from = from;
+      if (kind != Effect::Kind::kBroadcast) e.to = {NodeId(0)};
+      // The first request is the round-open state read, the second the arm.
+      EXPECT_EQ(lockstep_against({{ClusterPacket::kState, encode_state({})},
+                                  {ClusterPacket::kDone, encode_effects({e})}}),
+                wire::ProtocolError::kBadPayload)
+          << "effect kind " << static_cast<int>(kind) << " from node "
+          << from.value();
+    }
   }
 }
 

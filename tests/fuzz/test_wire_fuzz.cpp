@@ -135,10 +135,12 @@ TEST_P(WireFuzz, MutatedValidEncodingsAreHandledGracefully) {
     effects = {send, multi, arm, trace};
   }
 
-  cluster::GovernorState state;
+  sim::GovernorState state;
   state.leader = GovernorId(1);
   state.expected_loss = 0.25;
   state.validations = 7;
+  state.head_serial = 3;
+  state.head_hash[0] = 0x5a;
   state.shares = {{CollectorId(1), 0.5}, {CollectorId(2), 0.25}};
   state.unrevealed = {ledger::TxId{}, ledger::TxId{}};
   state.unrevealed[1][0] = 0x7f;
@@ -148,13 +150,12 @@ TEST_P(WireFuzz, MutatedValidEncodingsAreHandledGracefully) {
   stats.current_round = 5;
 
   crypto::SigningKey key(crypto::random_seed(rng));
-  cluster::GovernorSnapshotData snap;
+  std::vector<ledger::Block> snap;
   {
     ledger::TxRecord rec;
     rec.tx = ledger::make_transaction(ProviderId(1), 1, 1, rng.bytes(8), key);
-    snap.blocks.push_back(
+    snap.push_back(
         ledger::make_block(1, 1, crypto::Hash256{}, GovernorId(0), {rec}, key));
-    snap.expected_loss = 0.5;
   }
 
   struct Case {

@@ -101,8 +101,9 @@ sim::ScenarioConfig gossip_config() {
 sim::RunResult cluster_run(const Golden& golden) {
   cluster::LocalCluster nodes(golden.config,
                               {.node_bin = cluster::beside_executable("node")});
-  cluster::ClusterRun run(golden.config, nodes.take_conns());
-  sim::RunResult result = run.run();
+  cluster::RemoteGovernors remote(nodes.take_conns());
+  sim::RunResult result = sim::simulate_run(golden.config, &remote);
+  remote.shutdown();
   for (std::size_t i = 0; i < golden.config.topology.governors; ++i) {
     const int status = nodes.wait_exit(i);
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
