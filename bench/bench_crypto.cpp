@@ -1,6 +1,7 @@
 // Crypto substrate microbenchmarks (plumbing cost context for every other
-// experiment): SHA-256/512 throughput, Ed25519 keygen/sign/verify, VRF
-// evaluate/verify, Merkle tree construction.
+// experiment): SHA-256/512 throughput, the field, scalar and group
+// operations under Ed25519, Ed25519 keygen/sign/verify, batch verification,
+// VRF evaluate/verify, Merkle tree construction.
 
 #include <benchmark/benchmark.h>
 
@@ -74,37 +75,90 @@ void bm_verify(benchmark::State& state) {
 }
 BENCHMARK(bm_verify)->Name("ed25519_verify");
 
+Scalar random_scalar(Rng& rng) {
+  ByteArray<64> wide{};
+  const Bytes raw = rng.bytes(64);
+  std::copy(raw.begin(), raw.end(), wide.begin());
+  return sc_from_bytes_wide(wide);
+}
+
+Fe random_fe(Rng& rng) {
+  ByteArray<32> b{};
+  const Bytes raw = rng.bytes(32);
+  std::copy(raw.begin(), raw.end(), b.begin());
+  return fe_from_bytes(b);
+}
+
+void bm_fe_mul(benchmark::State& state) {
+  Rng rng(12);
+  Fe a = random_fe(rng);
+  const Fe b = random_fe(rng);
+  for (auto _ : state) {
+    a = fe_mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(bm_fe_mul)->Name("fe_mul");
+
+void bm_fe_sq(benchmark::State& state) {
+  Rng rng(13);
+  Fe a = random_fe(rng);
+  for (auto _ : state) {
+    a = fe_sq(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(bm_fe_sq)->Name("fe_sq");
+
+void bm_fe_invert(benchmark::State& state) {
+  Rng rng(14);
+  const Fe a = random_fe(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fe_invert(a));
+  }
+}
+BENCHMARK(bm_fe_invert)->Name("fe_invert");
+
+void bm_sc_muladd(benchmark::State& state) {
+  Rng rng(15);
+  const Scalar a = random_scalar(rng), b = random_scalar(rng);
+  Scalar c = random_scalar(rng);
+  for (auto _ : state) {
+    c = sc_muladd(a, b, c);
+    benchmark::DoNotOptimize(c);
+  }
+}
+BENCHMARK(bm_sc_muladd)->Name("sc_muladd");
+
+void bm_point_decompress(benchmark::State& state) {
+  Rng rng(16);
+  const SigningKey key(random_seed(rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(point_decompress(key.public_key().bytes));
+  }
+}
+BENCHMARK(bm_point_decompress)->Name("point_decompress");
+
+void bm_point_base_mul(benchmark::State& state) {
+  Rng rng(17);
+  const Scalar s = random_scalar(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(point_base_mul(s));
+  }
+}
+BENCHMARK(bm_point_base_mul)->Name("point_base_mul(comb)");
+
 void bm_double_scalar(benchmark::State& state) {
   Rng rng(9);
   const SigningKey key(random_seed(rng));
-  ByteArray<64> wa{}, wb{};
-  Bytes ra = rng.bytes(64), rb = rng.bytes(64);
-  std::copy(ra.begin(), ra.end(), wa.begin());
-  std::copy(rb.begin(), rb.end(), wb.begin());
-  const Scalar a = sc_from_bytes_wide(wa);
-  const Scalar b = sc_from_bytes_wide(wb);
+  const Scalar a = random_scalar(rng);
+  const Scalar b = random_scalar(rng);
   const auto p = point_decompress(key.public_key().bytes);
   for (auto _ : state) {
     benchmark::DoNotOptimize(point_double_scalar_mul(a, *p, b));
   }
 }
-BENCHMARK(bm_double_scalar)->Name("point_double_scalar_mul(strauss)");
-
-void bm_two_ladders(benchmark::State& state) {
-  Rng rng(10);
-  const SigningKey key(random_seed(rng));
-  ByteArray<64> wa{}, wb{};
-  Bytes ra = rng.bytes(64), rb = rng.bytes(64);
-  std::copy(ra.begin(), ra.end(), wa.begin());
-  std::copy(rb.begin(), rb.end(), wb.begin());
-  const Scalar a = sc_from_bytes_wide(wa);
-  const Scalar b = sc_from_bytes_wide(wb);
-  const auto p = point_decompress(key.public_key().bytes);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(point_add(point_scalar_mul(*p, a), point_base_mul(b)));
-  }
-}
-BENCHMARK(bm_two_ladders)->Name("point_two_independent_ladders");
+BENCHMARK(bm_double_scalar)->Name("point_double_scalar_mul(sliding_window)");
 
 void bm_vrf_evaluate(benchmark::State& state) {
   Rng rng(6);
@@ -144,7 +198,14 @@ void bm_batch_verify(benchmark::State& state) {
   // items/sec = amortized per-signature verification throughput.
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(bm_batch_verify)->Arg(4)->Arg(16)->Arg(64)->Name("batch_verify/sigs");
+// 3 and 5: perfbench's mean upload wave and the mean VerifiedBatch flush.
+BENCHMARK(bm_batch_verify)
+    ->Arg(3)
+    ->Arg(4)
+    ->Arg(5)
+    ->Arg(16)
+    ->Arg(64)
+    ->Name("batch_verify/sigs");
 
 void bm_merkle_build(benchmark::State& state) {
   Rng rng(8);
@@ -212,7 +273,8 @@ void write_json_summary() {
     const auto& it = items[0];
     benchmark::DoNotOptimize(verify(it.pub, it.message, it.sig));
   });
-  for (const std::size_t n : {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
+  for (const std::size_t n : {std::size_t{3}, std::size_t{4}, std::size_t{5}, std::size_t{16},
+                              std::size_t{64}}) {
     const std::span<const BatchItem> chunk(items.data(), n);
     const int reps = static_cast<int>(256 / n) + 1;
     const double batches_per_sec = ops_per_sec(reps, [&] {

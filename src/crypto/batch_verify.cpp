@@ -6,62 +6,6 @@ namespace repchain::crypto {
 
 namespace {
 
-/// 4-bit window of scalar `b` at window index `w` (window 0 = least
-/// significant nibble).
-inline unsigned window_at(const ByteArray<32>& b, int w) {
-  const unsigned byte = b[static_cast<std::size_t>(w >> 1)];
-  return (w & 1) ? (byte >> 4) : (byte & 0xF);
-}
-
-}  // namespace
-
-Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms) {
-  const std::size_t n = terms.size();
-  if (n == 0) return point_identity();
-
-  // Interleaved Strauss with 4-bit windows: one shared doubling chain for
-  // all terms (4 doublings per window step), and per term a table of the
-  // first 15 multiples so each nonzero window costs a single addition. For
-  // n terms this is ~252 doublings + n*(14 table adds + <=64 window adds),
-  // versus 256 doublings *per term* for independent ladders — and short
-  // scalars (the 128-bit batch coefficients) skip their zero windows for
-  // free.
-  std::vector<ByteArray<32>> bits(n);
-  std::vector<std::array<Point, 15>> table(n);
-  int top = -1;  // highest window index that is nonzero in any term
-  for (std::size_t i = 0; i < n; ++i) {
-    bits[i] = sc_to_bytes(terms[i].first);
-    table[i][0] = terms[i].second;
-    table[i][1] = point_double(table[i][0]);
-    for (std::size_t j = 2; j < 15; ++j) {
-      table[i][j] = point_add(table[i][j - 1], table[i][0]);
-    }
-    for (int w = 63; w > top; --w) {
-      if (window_at(bits[i], w) != 0) {
-        top = w;
-        break;
-      }
-    }
-  }
-
-  Point acc = point_identity();
-  for (int w = top; w >= 0; --w) {
-    if (w != top) {
-      acc = point_double(acc);
-      acc = point_double(acc);
-      acc = point_double(acc);
-      acc = point_double(acc);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const unsigned nibble = window_at(bits[i], w);
-      if (nibble != 0) acc = point_add(acc, table[i][nibble - 1]);
-    }
-  }
-  return acc;
-}
-
-namespace {
-
 /// Random 128-bit scalar (top 16 bytes zero): small enough to keep the
 /// combination cheap, large enough that adversarial cancellation has
 /// probability ~2^-128.
@@ -97,11 +41,12 @@ bool decode_item(const BatchItem& item, DecodedItem& out) {
   const auto r = point_decompress(r_enc);
   if (!r) return false;
   out.r = *r;
-  const auto a = point_decompress(item.pub.bytes);
-  if (!a) return false;
+  const Point* a = item.pub.point();
+  if (a == nullptr) return false;
   out.a = *a;
 
-  const Hash512 kh = sha512_concat({view(r_enc), view(item.pub.bytes), item.message});
+  const Hash512 kh =
+      sha512_concat({view(r_enc), view(item.pub.public_key().bytes), item.message});
   ByteArray<64> kh_arr{};
   std::copy(kh.begin(), kh.end(), kh_arr.begin());
   out.k = sc_from_bytes_wide(kh_arr);
@@ -123,13 +68,11 @@ bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
 
     const Scalar z = random_z(rng);
     // Accumulate: (sum z_i S_i) B - sum z_i R_i - sum z_i k_i A_i == 0.
-    b_coeff = sc_add(b_coeff, sc_muladd(z, d.s, sc_zero()));
+    b_coeff = sc_muladd(z, d.s, b_coeff);
     terms.emplace_back(z, point_neg(d.r));
     terms.emplace_back(sc_muladd(z, d.k, sc_zero()), point_neg(d.a));
   }
-  terms.emplace_back(b_coeff, point_base());
-
-  return point_is_identity(point_multi_scalar_mul(terms));
+  return point_is_identity(point_multi_scalar_mul(terms, b_coeff));
 }
 
 std::vector<bool> verify_batch_detailed(std::span<const BatchItem> items, Rng& rng) {

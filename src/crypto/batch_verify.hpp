@@ -9,19 +9,12 @@
 
 namespace repchain::crypto {
 
-/// One signature in a batch.
+/// One signature in a batch. The key is decoded; a PublicKey converts.
 struct BatchItem {
-  PublicKey pub;
+  VerifyingKey pub;
   Bytes message;
   Signature sig;
 };
-
-/// Sum of [s_i]P_i with a single shared doubling chain (interleaved
-/// Strauss, 4-bit windows). For n points this costs ~252 doublings +
-/// n*(14 table + <=64 window) additions, versus n*256 doublings for
-/// independent ladders; 128-bit scalars skip their zero windows for free.
-[[nodiscard]] Point point_multi_scalar_mul(
-    std::span<const std::pair<Scalar, Point>> terms);
 
 /// Batch signature verification with random linear combination:
 ///

@@ -1,14 +1,236 @@
 #include "crypto/ed25519.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <vector>
+
 #include "crypto/sha512.hpp"
 
 namespace repchain::crypto {
 
 namespace {
-/// 2d, cached for the unified addition formula.
+using u64 = std::uint64_t;
+
+/// 2d, cached for the addition formulas.
 const Fe& fe_2d() {
   static const Fe k2d = fe_add(fe_edwards_d(), fe_edwards_d());
   return k2d;
+}
+
+// The ref10 point representations. Each formula produces a Completed point;
+// converting it costs 3 multiplications to Projective (enough to double) or
+// 4 to extended (needed to add).
+
+/// ((X : Z), (Y : T)): x = X/Z, y = Y/T.
+struct Completed {
+  Fe X, Y, Z, T;
+};
+
+/// (X : Y : Z) without T.
+struct Projective {
+  Fe X, Y, Z;
+};
+
+/// An addend prepared for repeated use: (Y+X, Y-X, Z, 2dT).
+struct Cached {
+  Fe YplusX, YminusX, Z, T2d;
+};
+
+/// An affine addend (Z = 1): (y+x, y-x, 2dxy). Saves one multiplication per
+/// addition over Cached; the static tables use it.
+struct Niels {
+  Fe YplusX, YminusX, XY2d;
+};
+
+Point to_extended(const Completed& c) {
+  return Point{fe_mul(c.X, c.T), fe_mul(c.Y, c.Z), fe_mul(c.Z, c.T), fe_mul(c.X, c.Y)};
+}
+
+Projective to_projective(const Completed& c) {
+  return Projective{fe_mul(c.X, c.T), fe_mul(c.Y, c.Z), fe_mul(c.Z, c.T)};
+}
+
+Projective to_projective(const Point& p) { return Projective{p.X, p.Y, p.Z}; }
+
+Cached to_cached(const Point& p) {
+  return Cached{fe_add(p.Y, p.X), fe_sub(p.Y, p.X), p.Z, fe_mul(p.T, fe_2d())};
+}
+
+Niels to_niels(const Point& p) {
+  const Fe zinv = fe_invert(p.Z);
+  const Fe x = fe_mul(p.X, zinv);
+  const Fe y = fe_mul(p.Y, zinv);
+  return Niels{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), fe_2d())};
+}
+
+/// dbl-2008-hwcd for a = -1.
+Completed dbl(const Projective& p) {
+  const Fe xx = fe_sq(p.X);
+  const Fe yy = fe_sq(p.Y);
+  const Fe zz2 = fe_sq(p.Z);
+  const Fe b = fe_add(zz2, zz2);
+  const Fe aa = fe_sq(fe_add(p.X, p.Y));
+  const Fe yy_plus_xx = fe_add(yy, xx);
+  const Fe yy_minus_xx = fe_sub(yy, xx);
+  return Completed{fe_sub(aa, yy_plus_xx), yy_plus_xx, yy_minus_xx, fe_sub(b, yy_minus_xx)};
+}
+
+/// p + q (negate = false) or p - q (negate = true); add-2008-hwcd-3 with q's
+/// products precomputed. Swapping Y+X with Y-X and 2dT's sign negates q.
+Completed add_cached(const Point& p, const Cached& q, bool negate) {
+  const Fe a = fe_mul(fe_sub(p.Y, p.X), negate ? q.YplusX : q.YminusX);
+  const Fe b = fe_mul(fe_add(p.Y, p.X), negate ? q.YminusX : q.YplusX);
+  const Fe c = fe_mul(p.T, q.T2d);
+  const Fe zz = fe_mul(p.Z, q.Z);
+  const Fe d = fe_add(zz, zz);
+  return negate ? Completed{fe_sub(b, a), fe_add(b, a), fe_sub(d, c), fe_add(d, c)}
+                : Completed{fe_sub(b, a), fe_add(b, a), fe_add(d, c), fe_sub(d, c)};
+}
+
+/// p + q or p - q for an affine q (madd-2008-hwcd-3).
+Completed add_niels(const Point& p, const Niels& q, bool negate) {
+  const Fe a = fe_mul(fe_sub(p.Y, p.X), negate ? q.YplusX : q.YminusX);
+  const Fe b = fe_mul(fe_add(p.Y, p.X), negate ? q.YminusX : q.YplusX);
+  const Fe c = fe_mul(p.T, q.XY2d);
+  const Fe d = fe_add(p.Z, p.Z);
+  return negate ? Completed{fe_sub(b, a), fe_add(b, a), fe_sub(d, c), fe_add(d, c)}
+                : Completed{fe_sub(b, a), fe_add(b, a), fe_add(d, c), fe_sub(d, c)};
+}
+
+// ---- Fixed-base comb (constant-time) ----
+
+using CombTable = std::array<std::array<Niels, 8>, 32>;
+
+/// Row i holds (j+1) * 256^i * B for j = 0..7; about 30 KB, built on first
+/// use.
+const CombTable& comb_table() {
+  static const CombTable kTable = [] {
+    CombTable t;
+    Point row = point_base();  // 256^i * B
+    for (auto& entries : t) {
+      Point multiple = row;
+      for (Niels& entry : entries) {
+        entry = to_niels(multiple);
+        multiple = point_add(multiple, row);
+      }
+      for (int k = 0; k < 8; ++k) row = point_double(row);
+    }
+    return t;
+  }();
+  return kTable;
+}
+
+/// f = mask ? g : f, for mask all ones or all zeros.
+void fe_cmov(Fe& f, const Fe& g, u64 mask) {
+  for (int i = 0; i < 5; ++i) f.v[i] ^= (f.v[i] ^ g.v[i]) & mask;
+}
+
+/// All ones iff a == b (both small non-negative), without a branch.
+u64 eq_mask(u64 a, u64 b) { return 0 - (((a ^ b) - 1) >> 63); }
+
+/// digit * 256^row * B for a digit in [-8, 8]: every entry of the row is
+/// read and the match kept by mask, then negated by mask, so neither the
+/// memory access pattern nor a branch depends on the digit.
+Niels comb_select(int row, std::int8_t digit) {
+  const u64 negative = static_cast<u64>(static_cast<std::int64_t>(digit)) >> 63;
+  const u64 magnitude = static_cast<u64>(digit - 2 * (digit & -static_cast<int>(negative)));
+  Niels r{fe_one(), fe_one(), fe_zero()};  // the identity
+  const auto& entries = comb_table()[static_cast<std::size_t>(row)];
+  for (u64 j = 0; j < 8; ++j) {
+    const u64 mask = eq_mask(magnitude, j + 1);
+    fe_cmov(r.YplusX, entries[j].YplusX, mask);
+    fe_cmov(r.YminusX, entries[j].YminusX, mask);
+    fe_cmov(r.XY2d, entries[j].XY2d, mask);
+  }
+  const u64 neg_mask = 0 - negative;
+  const Niels minus{r.YminusX, r.YplusX, fe_neg(r.XY2d)};
+  fe_cmov(r.YplusX, minus.YplusX, neg_mask);
+  fe_cmov(r.YminusX, minus.YminusX, neg_mask);
+  fe_cmov(r.XY2d, minus.XY2d, neg_mask);
+  return r;
+}
+
+/// Signed radix-16 digits e[0..63] in [-8, 8] with s = sum e[i] * 16^i
+/// (s < 2^255). Branch-free.
+std::array<std::int8_t, 64> radix16_digits(const Scalar& s) {
+  const ByteArray<32> bytes = sc_to_bytes(s);
+  std::array<std::int8_t, 64> e{};
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = static_cast<std::int8_t>(bytes[i] & 15);
+    e[2 * i + 1] = static_cast<std::int8_t>(bytes[i] >> 4);
+  }
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    const int digit = e[i] + carry;  // in [0, 16]
+    carry = (digit + 8) >> 4;
+    e[i] = static_cast<std::int8_t>(digit - (carry << 4));
+  }
+  e[63] = static_cast<std::int8_t>(e[63] + carry);
+  return e;
+}
+
+// ---- Sliding windows (variable-time, public inputs) ----
+
+using Digits = std::array<std::int8_t, 256>;
+
+/// Width-5 signed sliding-window digits: s = sum d[i] * 2^i with every
+/// nonzero d[i] odd in [-15, 15] and at least 5 positions after the previous
+/// one (s < 2^255).
+Digits window_digits(const Scalar& s) {
+  const u64 limbs[5] = {s.v[0], s.v[1], s.v[2], s.v[3], 0};
+  Digits d{};
+  u64 carry = 0;
+  for (int pos = 0; pos < 256;) {
+    const int limb = pos / 64, bit = pos % 64;
+    u64 bits = limbs[limb] >> bit;
+    if (bit > 59) bits |= limbs[limb + 1] << (64 - bit);
+    const u64 window = carry + (bits & 31);
+    if ((window & 1) == 0) {
+      ++pos;  // a zero digit; a pending carry moves up with it
+      continue;
+    }
+    carry = window >> 4;  // windows 17..31 become window - 32, carrying 1
+    d[static_cast<std::size_t>(pos)] =
+        static_cast<std::int8_t>(static_cast<int>(window) - static_cast<int>(carry << 5));
+    pos += 5;
+  }
+  return d;
+}
+
+int top_digit(const Digits& d) {
+  for (int i = 255; i >= 0; --i) {
+    if (d[static_cast<std::size_t>(i)] != 0) return i;
+  }
+  return -1;
+}
+
+/// P, 3P, 5P, ..., 15P.
+std::array<Cached, 8> odd_multiples(const Point& p) {
+  std::array<Cached, 8> out;
+  const Cached twice = to_cached(point_double(p));
+  Point multiple = p;
+  out[0] = to_cached(multiple);
+  for (std::size_t j = 1; j < 8; ++j) {
+    multiple = to_extended(add_cached(multiple, twice, false));
+    out[j] = to_cached(multiple);
+  }
+  return out;
+}
+
+/// B, 3B, ..., 15B as affine addends, built on first use.
+const std::array<Niels, 8>& base_odd_multiples() {
+  static const std::array<Niels, 8> kTable = [] {
+    std::array<Niels, 8> t;
+    const Point twice = point_double(point_base());
+    Point multiple = point_base();
+    for (Niels& entry : t) {
+      entry = to_niels(multiple);
+      multiple = point_add(multiple, twice);
+    }
+    return t;
+  }();
+  return kTable;
 }
 
 Scalar clamp_scalar(ByteArray<32> a) {
@@ -20,14 +242,7 @@ Scalar clamp_scalar(ByteArray<32> a) {
 }
 }  // namespace
 
-Point point_identity() {
-  Point p;
-  p.X = fe_zero();
-  p.Y = fe_one();
-  p.Z = fe_one();
-  p.T = fe_zero();
-  return p;
-}
+Point point_identity() { return Point{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
 
 const Point& point_base() {
   static const Point kBase = [] {
@@ -41,69 +256,61 @@ const Point& point_base() {
 }
 
 Point point_add(const Point& p, const Point& q) {
-  // Unified addition (add-2008-hwcd-3 for a = -1); also valid for doubling.
-  const Fe a = fe_mul(fe_sub(p.Y, p.X), fe_sub(q.Y, q.X));
-  const Fe b = fe_mul(fe_add(p.Y, p.X), fe_add(q.Y, q.X));
-  const Fe c = fe_mul(fe_mul(p.T, fe_2d()), q.T);
-  const Fe d = fe_mul(fe_add(p.Z, p.Z), q.Z);
-  const Fe e = fe_sub(b, a);
-  const Fe f = fe_sub(d, c);
-  const Fe g = fe_add(d, c);
-  const Fe h = fe_add(b, a);
-  Point r;
-  r.X = fe_mul(e, f);
-  r.Y = fe_mul(g, h);
-  r.T = fe_mul(e, h);
-  r.Z = fe_mul(f, g);
-  return r;
+  return to_extended(add_cached(p, to_cached(q), false));
 }
 
-Point point_double(const Point& p) { return point_add(p, p); }
+Point point_double(const Point& p) { return to_extended(dbl(to_projective(p))); }
 
-Point point_neg(const Point& p) {
-  Point r = p;
-  r.X = fe_neg(p.X);
-  r.T = fe_neg(p.T);
-  return r;
+Point point_neg(const Point& p) { return Point{fe_neg(p.X), p.Y, p.Z, fe_neg(p.T)}; }
+
+Point point_base_mul(const Scalar& s) {
+  // s = sum_k e[2k] 256^k + 16 * sum_k e[2k+1] 256^k, and 256^k selects
+  // comb row k: first the odd digits, then four doublings (times 16), then
+  // the even digits.
+  const std::array<std::int8_t, 64> e = radix16_digits(s);
+  Point h = point_identity();
+  for (int i = 1; i < 64; i += 2) h = to_extended(add_niels(h, comb_select(i / 2, e[i]), false));
+  Projective q = to_projective(dbl(to_projective(h)));
+  q = to_projective(dbl(q));
+  q = to_projective(dbl(q));
+  h = to_extended(dbl(q));
+  for (int i = 0; i < 64; i += 2) h = to_extended(add_niels(h, comb_select(i / 2, e[i]), false));
+  return h;
 }
 
-Point point_scalar_mul(const Point& p, const Scalar& s) {
-  const ByteArray<32> bits = sc_to_bytes(s);
-  Point acc = point_identity();
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      acc = point_double(acc);
-      if ((bits[byte] >> bit) & 1) acc = point_add(acc, p);
-    }
+Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
+                             const Scalar& b) {
+  const Digits b_digits = window_digits(b);
+  int top = top_digit(b_digits);
+  std::vector<Digits> digits(terms.size());
+  std::vector<std::array<Cached, 8>> tables(terms.size());
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    digits[i] = window_digits(terms[i].first);
+    tables[i] = odd_multiples(terms[i].second);
+    top = std::max(top, top_digit(digits[i]));
   }
-  return acc;
-}
+  if (top < 0) return point_identity();
 
-Point point_base_mul(const Scalar& s) { return point_scalar_mul(point_base(), s); }
+  const std::array<Niels, 8>& b_table = base_odd_multiples();
+  Projective acc = to_projective(point_identity());
+  for (int pos = top;; --pos) {
+    Completed t = dbl(acc);
+    const auto at = static_cast<std::size_t>(pos);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const int d = digits[i][at];
+      if (d != 0) t = add_cached(to_extended(t), tables[i][std::abs(d) / 2], d < 0);
+    }
+    if (const int d = b_digits[at]; d != 0) {
+      t = add_niels(to_extended(t), b_table[std::abs(d) / 2], d < 0);
+    }
+    if (pos == 0) return to_extended(t);
+    acc = to_projective(t);
+  }
+}
 
 Point point_double_scalar_mul(const Scalar& a, const Point& p, const Scalar& b) {
-  const ByteArray<32> abits = sc_to_bytes(a);
-  const ByteArray<32> bbits = sc_to_bytes(b);
-  // Table indexed by (bit_a, bit_b): 01 -> B, 10 -> P, 11 -> P + B.
-  const Point& base = point_base();
-  const Point p_plus_b = point_add(p, base);
-
-  Point acc = point_identity();
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      acc = point_double(acc);
-      const int ba = (abits[byte] >> bit) & 1;
-      const int bb = (bbits[byte] >> bit) & 1;
-      if (ba && bb) {
-        acc = point_add(acc, p_plus_b);
-      } else if (ba) {
-        acc = point_add(acc, p);
-      } else if (bb) {
-        acc = point_add(acc, base);
-      }
-    }
-  }
-  return acc;
+  const std::pair<Scalar, Point> term{a, p};
+  return point_multi_scalar_mul({&term, 1}, b);
 }
 
 bool point_equal(const Point& p, const Point& q) {
@@ -151,12 +358,7 @@ std::optional<Point> point_decompress(const ByteArray<32>& in) {
   if (fe_is_zero(x) && x_sign) return std::nullopt;  // -0 is not canonical
   if (fe_is_negative(x) != x_sign) x = fe_neg(x);
 
-  Point p;
-  p.X = x;
-  p.Y = y;
-  p.Z = fe_one();
-  p.T = fe_mul(x, y);
-  return p;
+  return Point{x, y, fe_one(), fe_mul(x, y)};
 }
 
 SigningKey::SigningKey(const PrivateSeed& seed) {
@@ -192,7 +394,10 @@ Signature SigningKey::sign(BytesView message) const {
   return sig;
 }
 
-bool verify(const PublicKey& pub, BytesView message, const Signature& sig) {
+bool verify(const VerifyingKey& key, BytesView message, const Signature& sig) {
+  const Point* a = key.point();
+  if (a == nullptr) return false;
+
   ByteArray<32> r_enc{}, s_enc{};
   std::copy(sig.bytes.begin(), sig.bytes.begin() + 32, r_enc.begin());
   std::copy(sig.bytes.begin() + 32, sig.bytes.end(), s_enc.begin());
@@ -202,16 +407,14 @@ bool verify(const PublicKey& pub, BytesView message, const Signature& sig) {
 
   const auto r = point_decompress(r_enc);
   if (!r) return false;
-  const auto a = point_decompress(pub.bytes);
-  if (!a) return false;
 
-  const Hash512 kh = sha512_concat({view(r_enc), view(pub.bytes), message});
+  const Hash512 kh = sha512_concat({view(r_enc), view(key.public_key().bytes), message});
   ByteArray<64> kh_arr{};
   std::copy(kh.begin(), kh.end(), kh_arr.begin());
   const Scalar k = sc_from_bytes_wide(kh_arr);
 
   // Check [S]B == R + [k]A, rearranged as [k](-A) + [S]B == R so one
-  // interleaved double-scalar ladder covers both multiplications.
+  // shared doubling chain covers both multiplications.
   const Point lhs = point_double_scalar_mul(k, point_neg(*a), s);
   return point_equal(lhs, *r);
 }

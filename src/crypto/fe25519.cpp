@@ -4,17 +4,11 @@ namespace repchain::crypto {
 
 namespace {
 using u64 = std::uint64_t;
-using u128 = unsigned __int128;
+using fe_detail::kMask51;
 
-constexpr u64 kMask51 = (u64{1} << 51) - 1;
-
-// 2p in radix-2^51 (used to keep subtraction non-negative).
-constexpr u64 kTwoP0 = 0x0fffffffffffdaULL;  // 2*(2^51 - 19)
-constexpr u64 kTwoP1234 = 0x0ffffffffffffeULL;  // 2*(2^51 - 1)
-
-// Propagate carries so every limb fits in 51 bits (+ tiny excess in limb 0
-// from the *19 wrap, resolved by a second pass where needed).
-Fe carry(const Fe& in) {
+// Sequential carry: every limb below 2^51 except for a possible small excess
+// in limb 1 from the *19 wrap (a second pass resolves it).
+Fe carry_chain(const Fe& in) {
   Fe f = in;
   u64 c;
   c = f.v[0] >> 51; f.v[0] &= kMask51; f.v[1] += c;
@@ -25,15 +19,29 @@ Fe carry(const Fe& in) {
   c = f.v[0] >> 51; f.v[0] &= kMask51; f.v[1] += c;
   return f;
 }
-}  // namespace
 
-Fe fe_zero() { return Fe{}; }
-
-Fe fe_one() {
-  Fe f;
-  f.v[0] = 1;
-  return f;
+// a^(2^n) by n squarings.
+Fe sq_n(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
 }
+
+// a^(2^250 - 1), the shared prefix of the inversion and square-root chains;
+// also returns a^11 through `a11`.
+Fe pow_2_250_minus_1(const Fe& a, Fe& a11) {
+  const Fe a2 = fe_sq(a);
+  const Fe a9 = fe_mul(sq_n(a2, 2), a);
+  a11 = fe_mul(a9, a2);
+  const Fe a_5_0 = fe_mul(fe_sq(a11), a9);             // 2^5 - 1
+  const Fe a_10_0 = fe_mul(sq_n(a_5_0, 5), a_5_0);     // 2^10 - 1
+  const Fe a_20_0 = fe_mul(sq_n(a_10_0, 10), a_10_0);  // 2^20 - 1
+  const Fe a_40_0 = fe_mul(sq_n(a_20_0, 20), a_20_0);  // 2^40 - 1
+  const Fe a_50_0 = fe_mul(sq_n(a_40_0, 10), a_10_0);  // 2^50 - 1
+  const Fe a_100_0 = fe_mul(sq_n(a_50_0, 50), a_50_0);  // 2^100 - 1
+  const Fe a_200_0 = fe_mul(sq_n(a_100_0, 100), a_100_0);  // 2^200 - 1
+  return fe_mul(sq_n(a_200_0, 50), a_50_0);            // 2^250 - 1
+}
+}  // namespace
 
 Fe fe_from_u64(u64 x) {
   Fe f;
@@ -59,7 +67,7 @@ Fe fe_from_bytes(const ByteArray<32>& in) {
 }
 
 ByteArray<32> fe_to_bytes(const Fe& in) {
-  Fe f = carry(carry(in));
+  Fe f = carry_chain(carry_chain(in));
   // Value is now < 2^255; subtract p once if >= p = 2^255 - 19.
   const bool ge_p = f.v[0] >= (kMask51 - 18) && f.v[1] == kMask51 && f.v[2] == kMask51 &&
                     f.v[3] == kMask51 && f.v[4] == kMask51;
@@ -81,51 +89,6 @@ ByteArray<32> fe_to_bytes(const Fe& in) {
   store64(24, w3);
   return out;
 }
-
-Fe fe_add(const Fe& a, const Fe& b) {
-  Fe f;
-  for (int i = 0; i < 5; ++i) f.v[i] = a.v[i] + b.v[i];
-  return carry(f);
-}
-
-Fe fe_sub(const Fe& a, const Fe& b) {
-  Fe f;
-  f.v[0] = a.v[0] + kTwoP0 - b.v[0];
-  for (int i = 1; i < 5; ++i) f.v[i] = a.v[i] + kTwoP1234 - b.v[i];
-  return carry(f);
-}
-
-Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
-
-Fe fe_mul(const Fe& a, const Fe& b) {
-  const u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 +
-            (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 +
-            (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 +
-            (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-
-  Fe f;
-  u64 c;
-  c = static_cast<u64>(t0 >> 51); f.v[0] = static_cast<u64>(t0) & kMask51; t1 += c;
-  c = static_cast<u64>(t1 >> 51); f.v[1] = static_cast<u64>(t1) & kMask51; t2 += c;
-  c = static_cast<u64>(t2 >> 51); f.v[2] = static_cast<u64>(t2) & kMask51; t3 += c;
-  c = static_cast<u64>(t3 >> 51); f.v[3] = static_cast<u64>(t3) & kMask51; t4 += c;
-  c = static_cast<u64>(t4 >> 51); f.v[4] = static_cast<u64>(t4) & kMask51;
-  f.v[0] += c * 19;
-  c = f.v[0] >> 51; f.v[0] &= kMask51; f.v[1] += c;
-  return f;
-}
-
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
 
 Fe fe_pow(const Fe& a, const ByteArray<32>& exponent_le) {
   Fe result = fe_one();
@@ -153,15 +116,17 @@ ByteArray<32> exponent_all_ff(std::uint8_t low, std::uint8_t high) {
 }  // namespace
 
 Fe fe_invert(const Fe& a) {
-  // p - 2 = 2^255 - 21.
-  static const ByteArray<32> kExp = exponent_all_ff(0xeb, 0x7f);
-  return fe_pow(a, kExp);
+  // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11.
+  Fe a11;
+  const Fe t = pow_2_250_minus_1(a, a11);
+  return fe_mul(sq_n(t, 5), a11);
 }
 
 Fe fe_pow22523(const Fe& a) {
-  // (p - 5) / 8 = 2^252 - 3.
-  static const ByteArray<32> kExp = exponent_all_ff(0xfd, 0x0f);
-  return fe_pow(a, kExp);
+  // (p - 5) / 8 = 2^252 - 3 = (2^250 - 1) * 2^2 + 1.
+  Fe a11;
+  const Fe t = pow_2_250_minus_1(a, a11);
+  return fe_mul(sq_n(t, 2), a);
 }
 
 bool fe_equal(const Fe& a, const Fe& b) {

@@ -33,6 +33,7 @@ Sha256::Sha256() {
 }
 
 Sha256& Sha256::update(BytesView data) {
+  if (data.empty()) return *this;  // an empty view's data() may be null: no memcpy
   total_len_ += data.size();
   std::size_t off = 0;
   if (buffer_len_ > 0) {
@@ -57,18 +58,21 @@ Sha256& Sha256::update(BytesView data) {
 }
 
 Sha256::Digest Sha256::finish() {
+  // Pad in place: 0x80, zeros up to the last 8 bytes of a block (spilling
+  // into one more block when fewer than 9 bytes are left), then the
+  // big-endian bit length.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 8) {
-    update(BytesView(&zero, 1));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    compress(buffer_);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(BytesView(len_bytes, 8));
+  compress(buffer_);
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

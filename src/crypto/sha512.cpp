@@ -49,6 +49,7 @@ Sha512::Sha512() {
 }
 
 Sha512& Sha512::update(BytesView data) {
+  if (data.empty()) return *this;  // an empty view's data() may be null: no memcpy
   total_len_ += data.size();
   std::size_t off = 0;
   if (buffer_len_ > 0) {
@@ -73,19 +74,21 @@ Sha512& Sha512::update(BytesView data) {
 }
 
 Sha512::Digest Sha512::finish() {
-  // SHA-512 pads with a 128-bit length; message sizes here fit in 64 bits.
+  // Pad in place: 0x80, zeros up to the last 16 bytes of a block (spilling
+  // into one more block when fewer than 17 bytes are left), then the
+  // big-endian 128-bit length; message sizes here fit in 64 bits.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 16) {
-    update(BytesView(&zero, 1));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 16) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    compress(buffer_);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[16] = {};
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(BytesView(len_bytes, 16));
+  compress(buffer_);
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -19,9 +19,9 @@ VrfResult vrf_evaluate(const SigningKey& key, BytesView alpha) {
   return r;
 }
 
-std::optional<Hash512> vrf_verify(const PublicKey& pub, BytesView alpha,
+std::optional<Hash512> vrf_verify(const VerifyingKey& key, BytesView alpha,
                                   const Signature& proof) {
-  if (!verify(pub, alpha, proof)) return std::nullopt;
+  if (!verify(key, alpha, proof)) return std::nullopt;
   return output_from_proof(proof);
 }
 

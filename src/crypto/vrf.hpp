@@ -29,8 +29,8 @@ struct VrfResult {
 /// Evaluate the VRF on input alpha.
 [[nodiscard]] VrfResult vrf_evaluate(const SigningKey& key, BytesView alpha);
 
-/// Verify a proof for alpha under pub; returns the output iff valid.
-[[nodiscard]] std::optional<Hash512> vrf_verify(const PublicKey& pub, BytesView alpha,
+/// Verify a proof for alpha under key; returns the output iff valid.
+[[nodiscard]] std::optional<Hash512> vrf_verify(const VerifyingKey& key, BytesView alpha,
                                                 const Signature& proof);
 
 /// First 8 bytes of the VRF output as a big-endian integer — the "hash value"

@@ -21,8 +21,10 @@ class IdentityManager {
     return ca_key_.public_key();
   }
 
-  /// Enroll a member: binds (node, role, key) in a CA-signed certificate.
-  /// Throws ConfigError if the node is already enrolled.
+  /// Enroll a member: binds (node, role, key) in a CA-signed certificate and
+  /// decodes the key for later checks. A key that is not a curve point still
+  /// enrolls; no signature verifies under it. Throws ConfigError if the node
+  /// is already enrolled.
   Certificate enroll(NodeId node, Role role, const crypto::PublicKey& key,
                      SimTime issued_at = 0);
 
@@ -50,18 +52,24 @@ class IdentityManager {
   /// `node`, or nullptr. Batch-verification front-ends run this gate per
   /// item, collect the surviving (key, message, sig) triples into one
   /// crypto::verify_batch call, and so decide exactly what the per-item
-  /// authenticate/authorize calls would have decided.
-  [[nodiscard]] const crypto::PublicKey* verification_key(
+  /// authenticate/authorize calls would have decided. The key was decoded
+  /// once, at enrollment.
+  [[nodiscard]] const crypto::VerifyingKey* verification_key(
       NodeId node, std::optional<Role> required_role = std::nullopt) const;
 
   void revoke(NodeId node);
   [[nodiscard]] bool is_revoked(NodeId node) const;
 
-  [[nodiscard]] std::size_t member_count() const { return certs_.size(); }
+  [[nodiscard]] std::size_t member_count() const { return members_.size(); }
 
  private:
+  struct Member {
+    Certificate cert;
+    crypto::VerifyingKey key;  // cert.public_key, decoded at enrollment
+  };
+
   crypto::SigningKey ca_key_;
-  std::unordered_map<NodeId, Certificate> certs_;
+  std::unordered_map<NodeId, Member> members_;
   std::unordered_set<NodeId> revoked_;
   std::uint64_t next_serial_ = 1;
 };

@@ -9,10 +9,16 @@ namespace repchain::protocol {
 
 namespace {
 template <typename Map, typename Key>
-auto lookup(const Map& map, Key key, const char* what) {
+std::optional<NodeId> find_in(const Map& map, Key key) {
   const auto it = map.find(key);
-  if (it == map.end()) throw ConfigError(std::string("directory: unknown ") + what);
-  return it->second;
+  return it == map.end() ? std::nullopt : std::optional(it->second);
+}
+
+template <typename Map, typename Key>
+NodeId lookup(const Map& map, Key key, const char* what) {
+  const auto node = find_in(map, key);
+  if (!node) throw ConfigError(std::string("directory: unknown ") + what);
+  return *node;
 }
 }  // namespace
 
@@ -55,6 +61,16 @@ NodeId Directory::node_of(CollectorId id) const {
 }
 NodeId Directory::node_of(GovernorId id) const {
   return lookup(governor_nodes_, id, "governor");
+}
+
+std::optional<NodeId> Directory::find_node(ProviderId id) const {
+  return find_in(provider_nodes_, id);
+}
+std::optional<NodeId> Directory::find_node(CollectorId id) const {
+  return find_in(collector_nodes_, id);
+}
+std::optional<NodeId> Directory::find_node(GovernorId id) const {
+  return find_in(governor_nodes_, id);
 }
 
 std::optional<ProviderId> Directory::provider_at(NodeId node) const {

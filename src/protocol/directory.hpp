@@ -21,9 +21,16 @@ class Directory {
   /// Record that `provider` submits its transactions to `collector`.
   void link(ProviderId provider, CollectorId collector);
 
+  /// Node of a registered id; throws ConfigError for an unknown one.
   [[nodiscard]] NodeId node_of(ProviderId id) const;
   [[nodiscard]] NodeId node_of(CollectorId id) const;
   [[nodiscard]] NodeId node_of(GovernorId id) const;
+
+  /// Non-throwing lookups for ids read from a message payload: nullopt for
+  /// an id that names no registered node, so the handler drops the message.
+  [[nodiscard]] std::optional<NodeId> find_node(ProviderId id) const;
+  [[nodiscard]] std::optional<NodeId> find_node(CollectorId id) const;
+  [[nodiscard]] std::optional<NodeId> find_node(GovernorId id) const;
 
   [[nodiscard]] std::optional<ProviderId> provider_at(NodeId node) const;
   [[nodiscard]] std::optional<CollectorId> collector_at(NodeId node) const;

@@ -21,9 +21,9 @@ void EquivocationDetector::age_out() {
 EquivocationDetector::ProposalNote EquivocationDetector::note_proposal(
     const ledger::Block& block) {
   ProposalNote note;
-  const NodeId leader_node = directory_.node_of(block.leader);
-  if (!im_.authorize(leader_node, identity::Role::kGovernor, block.signed_preimage(),
-                     block.leader_sig)) {
+  const auto leader_node = directory_.find_node(block.leader);
+  if (!leader_node || !im_.authorize(*leader_node, identity::Role::kGovernor,
+                                     block.signed_preimage(), block.leader_sig)) {
     return note;  // unsigned claims are not evidence of anything
   }
   const auto key = std::make_pair(block.leader.value(), block.serial);
@@ -80,15 +80,13 @@ void EquivocationDetector::on_gossip_payload(BytesView payload) {
 void EquivocationDetector::on_gossip(
     const std::vector<ledger::LabeledTransaction>& ltxs) {
   for (const auto& remote : ltxs) {
-    // Only a genuinely signed remote label is evidence.
-    const NodeId collector_node = directory_.node_of(remote.collector);
-    if (!im_.authorize(collector_node, identity::Role::kCollector,
-                       remote.signed_preimage(), remote.collector_sig)) {
-      continue;
-    }
+    // Only a label that conflicts with the local copy can be evidence, so
+    // the (pure) signature check runs only then: almost every gossiped label
+    // equals its local copy.
+    const ledger::TxId id = remote.tx.id();
     const ledger::LabeledTransaction* local = nullptr;
     for (const LabelGen* gen : {&seen_labels_, &seen_labels_prev_}) {
-      const auto tit = gen->find(remote.tx.id());
+      const auto tit = gen->find(id);
       if (tit == gen->end()) continue;
       const auto cit = tit->second.find(remote.collector);
       if (cit != tit->second.end()) {
@@ -97,11 +95,17 @@ void EquivocationDetector::on_gossip(
       }
     }
     if (local == nullptr || local->label == remote.label) continue;
+    // Only a genuinely signed remote label is evidence.
+    const auto collector_node = directory_.find_node(remote.collector);
+    if (!collector_node ||
+        !im_.authorize(*collector_node, identity::Role::kCollector,
+                       remote.signed_preimage(), remote.collector_sig)) {
+      continue;
+    }
 
     // Two valid signatures by the same collector over conflicting labels for
     // one transaction: a self-contained equivocation proof.
-    const auto key = std::make_pair(remote.collector.value(),
-                                    to_hex(view(remote.tx.id())));
+    const auto key = std::make_pair(remote.collector.value(), to_hex(view(id)));
     if (!punished_.insert(key).second) continue;
     ++metrics_.equivocations_detected;
     table_.punish_forgery(remote.collector);

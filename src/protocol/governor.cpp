@@ -211,9 +211,9 @@ void Governor::on_argue(const runtime::Message& msg) {
   } catch (const DecodeError&) {
     return;
   }
-  const NodeId provider_node = directory_.node_of(argue.provider);
-  if (!im_.authorize(provider_node, identity::Role::kProvider, argue.signed_preimage(),
-                     argue.provider_sig)) {
+  const auto provider_node = directory_.find_node(argue.provider);
+  if (!provider_node || !im_.authorize(*provider_node, identity::Role::kProvider,
+                                       argue.signed_preimage(), argue.provider_sig)) {
     return;
   }
   if (argue.tx.provider != argue.provider) return;
@@ -304,8 +304,9 @@ void Governor::on_vrf(const runtime::Message& msg) {
       broadcast_expel(announce.governor, ev->second);
     }
   }
-  const bool fresh = election_->add_announcement(
-      announce, im_, directory_.node_of(announce.governor));
+  const auto announcer_node = directory_.find_node(announce.governor);
+  if (!announcer_node) return;  // names no registered governor
+  const bool fresh = election_->add_announcement(announce, im_, *announcer_node);
   // Echo relay (reliable mode): forward a first-seen valid announcement to
   // the remaining governors over our own channel, so its delivery no longer
   // depends on the announcer staying alive to retransmit it. Without the
@@ -315,9 +316,8 @@ void Governor::on_vrf(const runtime::Message& msg) {
   // verified against the announcer's enrolled key, so a relay cannot forge,
   // and the first-seen gate stops re-echo storms.
   if (fresh && channel_ && announce.governor != id_) {
-    const NodeId origin = directory_.node_of(announce.governor);
     for (const NodeId peer : sync_peers_) {
-      if (peer == origin || peer == msg.from) continue;
+      if (peer == *announcer_node || peer == msg.from) continue;
       channel_->send(peer, runtime::MsgKind::kVrfAnnounce, msg.payload);
     }
   }
@@ -407,6 +407,10 @@ void Governor::on_block_proposal(const runtime::Message& msg) {
     ++metrics_.blocks_rejected;
     return;
   }
+  if (!directory_.find_node(block.leader)) {
+    ++metrics_.blocks_rejected;  // names no registered governor
+    return;
+  }
   if (expelled_.contains(block.leader)) {
     ++metrics_.blocks_rejected;
     // Re-share the stored expulsion proof (at most once per round): a
@@ -484,9 +488,9 @@ void Governor::handle_proposal_equivocation(const ledger::Block& prior,
 }
 
 void Governor::adopt_proposal(ledger::Block block) {
-  const NodeId leader_node = directory_.node_of(block.leader);
-  if (!im_.authorize(leader_node, identity::Role::kGovernor, block.signed_preimage(),
-                     block.leader_sig)) {
+  const auto leader_node = directory_.find_node(block.leader);
+  if (!leader_node || !im_.authorize(*leader_node, identity::Role::kGovernor,
+                                     block.signed_preimage(), block.leader_sig)) {
     ++metrics_.blocks_rejected;
     return;
   }
@@ -671,9 +675,9 @@ void Governor::on_block_response(const runtime::Message& msg) {
   // an enrolled governor, signature must authenticate; append re-checks
   // serial continuity, hash link and tx-root.
   if (decoded) {
-    const NodeId leader_node = directory_.node_of(block.leader);
-    decoded = im_.authorize(leader_node, identity::Role::kGovernor,
-                            block.signed_preimage(), block.leader_sig);
+    const auto leader_node = directory_.find_node(block.leader);
+    decoded = leader_node && im_.authorize(*leader_node, identity::Role::kGovernor,
+                                           block.signed_preimage(), block.leader_sig);
   }
   if (!decoded) {
     ++metrics_.blocks_rejected;
@@ -801,9 +805,9 @@ void Governor::on_stake_tx(const runtime::Message& msg) {
   } catch (const DecodeError&) {
     return;
   }
-  const NodeId from_node = directory_.node_of(stx.from);
-  if (!im_.authorize(from_node, identity::Role::kGovernor, stx.signed_preimage(),
-                     stx.sig)) {
+  const auto from_node = directory_.find_node(stx.from);
+  if (!from_node || !im_.authorize(*from_node, identity::Role::kGovernor,
+                                   stx.signed_preimage(), stx.sig)) {
     return;
   }
   stake_consensus_.on_stake_tx(std::move(stx));
@@ -1024,11 +1028,13 @@ void Governor::on_expel(const runtime::Message& msg) {
   } catch (const DecodeError&) {
     return;
   }
-  const NodeId accuser_node = directory_.node_of(expel.accuser);
-  if (!im_.authorize(accuser_node, identity::Role::kGovernor, expel.signed_preimage(),
-                     expel.accuser_sig)) {
+  const auto accuser_node = directory_.find_node(expel.accuser);
+  if (!accuser_node || !im_.authorize(*accuser_node, identity::Role::kGovernor,
+                                      expel.signed_preimage(), expel.accuser_sig)) {
     return;
   }
+  const auto accused_node = directory_.find_node(expel.accused);
+  if (!accused_node) return;
 
   // Leader-equivocation evidence (adversary layer) is tried first; its magic
   // prefix cannot decode as a StateProposalMsg, and vice versa. The proof is
@@ -1037,8 +1043,7 @@ void Governor::on_expel(const runtime::Message& msg) {
   try {
     const auto equivocation =
         adversary::BlockEquivocationEvidence::decode(expel.evidence);
-    const NodeId accused_node = directory_.node_of(expel.accused);
-    if (equivocation.verify(im_, accused_node, expel.accused)) {
+    if (equivocation.verify(im_, *accused_node, expel.accused)) {
       expel_evidence_[expel.accused] = expel.evidence;  // for later re-shares
       if (expelled_.insert(expel.accused).second) {
         emit_byzantine(adversary::ByzantineKind::kProposalEquivocation,
@@ -1060,8 +1065,7 @@ void Governor::on_expel(const runtime::Message& msg) {
     return;
   }
   if (proposal.leader != expel.accused) return;
-  const NodeId accused_node = directory_.node_of(expel.accused);
-  if (!im_.authenticate(accused_node, proposal.signed_preimage(), proposal.leader_sig)) {
+  if (!im_.authenticate(*accused_node, proposal.signed_preimage(), proposal.leader_sig)) {
     return;
   }
   if (stake_consensus_.matches_expected(proposal, round_)) {

@@ -20,9 +20,9 @@ bool ElectionState::add_announcement(const VrfAnnounceMsg& msg,
   if (msg.tickets.size() != it->second) return false;  // one ticket per stake unit
 
   // Verify every ticket's VRF proof against the governor's enrolled key.
-  const auto role = im.role_of(sender_node);
-  if (!role || *role != identity::Role::kGovernor) return false;
-  const auto& pub = im.certificate(sender_node).public_key;
+  const crypto::VerifyingKey* key =
+      im.verification_key(sender_node, identity::Role::kGovernor);
+  if (key == nullptr) return false;
 
   std::vector<std::pair<std::uint64_t, std::uint32_t>> hashes;
   hashes.reserve(msg.tickets.size());
@@ -31,7 +31,7 @@ bool ElectionState::add_announcement(const VrfAnnounceMsg& msg,
     if (t.governor != msg.governor) return false;
     if (t.unit >= it->second) return false;        // unit index out of range
     if (!units_seen.insert(t.unit).second) return false;  // duplicate unit
-    const auto out = crypto::vrf_verify(pub, vrf_alpha(round_, t.governor, t.unit),
+    const auto out = crypto::vrf_verify(*key, vrf_alpha(round_, t.governor, t.unit),
                                         t.proof);
     if (!out) return false;
     hashes.emplace_back(crypto::vrf_output_to_u64(*out), t.unit);

@@ -152,9 +152,9 @@ void Provider::on_message(const runtime::Message& msg) {
   // Light-client verification: the proposer must be an enrolled governor and
   // the signature must authenticate; ChainStore::append enforces serial
   // continuity, the hash link and the tx-root commitment.
-  const NodeId leader_node = directory_.node_of(block.leader);
-  if (!im_.authorize(leader_node, identity::Role::kGovernor, block.signed_preimage(),
-                     block.leader_sig)) {
+  const auto leader_node = directory_.find_node(block.leader);
+  if (!leader_node || !im_.authorize(*leader_node, identity::Role::kGovernor,
+                                     block.signed_preimage(), block.leader_sig)) {
     ++rejected_blocks_;
     sync_in_flight_ = false;
     return;

@@ -22,7 +22,11 @@ void ScreeningIntake::on_upload(const runtime::Message& msg) {
     return;
   }
 
-  const auto collector_node = directory_.node_of(ltx.collector);
+  const auto collector_node = directory_.find_node(ltx.collector);
+  if (!collector_node) {
+    ++metrics_.uploads_rejected;  // labeled by no registered collector
+    return;
+  }
   const ledger::TxId id = ltx.tx.id();
 
   // Run the non-cryptographic gates now, queue the surviving signatures,
@@ -30,8 +34,8 @@ void ScreeningIntake::on_upload(const runtime::Message& msg) {
   // IdentityManager::authorize/authenticate exactly, so the verdicts are
   // what one verification per signature would produce.
   PendingUpload pu;
-  const crypto::PublicKey* collector_key =
-      im_.verification_key(collector_node, identity::Role::kCollector);
+  const crypto::VerifyingKey* collector_key =
+      im_.verification_key(*collector_node, identity::Role::kCollector);
   pu.collector_check = (collector_key != nullptr)
                            ? batch_.add(*collector_key, ltx.signed_preimage(),
                                         ltx.collector_sig)
@@ -40,8 +44,9 @@ void ScreeningIntake::on_upload(const runtime::Message& msg) {
   pu.id = id;
   pu.provider_known = directory_.linked(ltx.tx.provider, ltx.collector);
   if (pu.provider_known) {
+    // Linked implies registered, so this lookup cannot fail.
     const NodeId provider_node = directory_.node_of(ltx.tx.provider);
-    const crypto::PublicKey* provider_key = im_.verification_key(provider_node);
+    const crypto::VerifyingKey* provider_key = im_.verification_key(provider_node);
     if (provider_key == nullptr) {
       pu.provider_check = batch_.add_decided(false);
     } else {

@@ -113,8 +113,9 @@ void StakeConsensus::on_signature(const StateSignatureMsg& sig, Round round,
                                   const std::set<GovernorId>& expelled) {
   if (!current_proposal_ || current_proposal_->leader != self_) return;
   if (sig.round != round) return;
-  const NodeId signer_node = directory_.node_of(sig.signer);
-  if (!im_.authenticate(signer_node, current_proposal_->signed_preimage(), sig.sig)) {
+  const auto signer_node = directory_.find_node(sig.signer);
+  if (!signer_node ||
+      !im_.authenticate(*signer_node, current_proposal_->signed_preimage(), sig.sig)) {
     return;
   }
   if (!sig_senders_.insert(sig.signer).second) return;
@@ -160,8 +161,8 @@ bool StakeConsensus::on_commit(const StateCommitMsg& commit, Round round,
 
   std::set<GovernorId> signers;
   for (const auto& sig : commit.signatures) {
-    const NodeId signer_node = directory_.node_of(sig.signer);
-    if (!im_.authenticate(signer_node, preimage, sig.sig)) return false;
+    const auto signer_node = directory_.find_node(sig.signer);
+    if (!signer_node || !im_.authenticate(*signer_node, preimage, sig.sig)) return false;
     if (!signers.insert(sig.signer).second) return false;
   }
 

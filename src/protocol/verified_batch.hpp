@@ -33,7 +33,7 @@ class VerifiedBatch {
   using Index = std::size_t;
 
   /// Queue one signature for bulk verification.
-  Index add(const crypto::PublicKey& key, Bytes message, const crypto::Signature& sig) {
+  Index add(const crypto::VerifyingKey& key, Bytes message, const crypto::Signature& sig) {
     items_.push_back(crypto::BatchItem{key, std::move(message), sig});
     slots_.push_back(items_.size() - 1);
     verdicts_.push_back(kPending);

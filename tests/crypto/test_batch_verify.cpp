@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "crypto/keygen.hpp"
+#include "oracle.hpp"
 
 namespace repchain::crypto {
 namespace {

@@ -148,6 +148,44 @@ TEST(IdentityManager, RevocationBlocksAuthentication) {
   EXPECT_FALSE(f.im.verify_certificate(cert));
 }
 
+TEST(IdentityManager, EnrolledKeyIsDecodedOnce) {
+  Fixture f;
+  const auto key = f.new_key();
+  f.im.enroll(NodeId(3), Role::kGovernor, key.public_key());
+  const crypto::VerifyingKey* vk = f.im.verification_key(NodeId(3), Role::kGovernor);
+  ASSERT_NE(vk, nullptr);
+  EXPECT_EQ(vk->public_key(), key.public_key());
+  ASSERT_NE(vk->point(), nullptr);
+  // The same decoded key on every lookup.
+  EXPECT_EQ(f.im.verification_key(NodeId(3)), vk);
+  const Bytes msg = to_bytes("block");
+  EXPECT_TRUE(crypto::verify(*vk, msg, key.sign(msg)));
+}
+
+TEST(IdentityManager, OffCurveKeyEnrollsButVerifiesNothing) {
+  Fixture f;
+  // A y coordinate with no matching x: not a curve point.
+  crypto::PublicKey off_curve;
+  for (std::uint8_t y0 = 2;; ++y0) {
+    off_curve.bytes[0] = y0;
+    if (!crypto::point_decompress(off_curve.bytes)) break;
+  }
+  const Certificate cert = f.im.enroll(NodeId(4), Role::kCollector, off_curve);
+  EXPECT_TRUE(f.im.is_enrolled(NodeId(4)));
+  EXPECT_TRUE(f.im.verify_certificate(cert));
+  const crypto::VerifyingKey* vk = f.im.verification_key(NodeId(4));
+  ASSERT_NE(vk, nullptr);
+  EXPECT_EQ(vk->public_key(), off_curve);
+  EXPECT_EQ(vk->point(), nullptr);
+
+  const auto signer = f.new_key();
+  const Bytes msg = to_bytes("upload");
+  const crypto::Signature sig = signer.sign(msg);
+  EXPECT_FALSE(f.im.authenticate(NodeId(4), msg, sig));
+  EXPECT_FALSE(f.im.authorize(NodeId(4), Role::kCollector, msg, sig));
+  EXPECT_FALSE(crypto::verify(*vk, msg, sig));
+}
+
 TEST(IdentityManager, SerialsAreUnique) {
   Fixture f;
   const Certificate a = f.im.enroll(NodeId(1), Role::kProvider, f.new_key().public_key());

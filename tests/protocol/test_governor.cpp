@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 
 #include "runtime/atomic_broadcast.hpp"
 #include "common/errors.hpp"
@@ -13,6 +14,7 @@
 #include "crypto/keygen.hpp"
 #include "net/network.hpp"
 #include "protocol/governor.hpp"
+#include "protocol/provider.hpp"
 #include "sim/topology.hpp"
 
 namespace repchain::protocol {
@@ -23,7 +25,7 @@ using ledger::Label;
 /// Hand-wired world: 2 providers, 2 collectors (both linked to both
 /// providers), 2 governors.
 struct World {
-  World()
+  explicit World(GovernorConfig config = {})
       : rng(12345),
         net(queue, rng.derive(1), net::LatencyModel{1 * kMillisecond, 2 * kMillisecond}),
         im(crypto::random_seed(rng)),
@@ -55,7 +57,6 @@ struct World {
     genesis.set(GovernorId(0), 1);
     genesis.set(GovernorId(1), 1);
 
-    GovernorConfig config;
     config.aggregation_delta = 5 * kMillisecond;
     for (int i = 0; i < 2; ++i) {
       contexts.emplace_back(directory.node_of(GovernorId(i)), net,
@@ -597,6 +598,204 @@ TEST(GovernorMisc, UnknownMessageKindIgnored) {
   msg.payload = to_bytes("noise");
   w.governors[0].on_message(msg);  // must not throw
   EXPECT_EQ(w.governors[0].pending_txs(), 0u);
+}
+
+// Every id a payload names below is past the two the fixture registers per
+// role. Each handler must drop such a message (counting it where it already
+// counts rejects) instead of letting the directory lookup throw out of
+// on_message.
+struct UnknownIdCase {
+  const char* name;
+  GovernorConfig config;
+  std::function<void(World&)> run;  // deliver the message, check the outcome
+};
+
+void deliver(World& w, NodeId from, net::MsgKind kind, Bytes payload,
+             std::size_t governor = 0) {
+  net::Message msg;
+  msg.from = from;
+  msg.to = w.directory.node_of(GovernorId(static_cast<std::uint32_t>(governor)));
+  msg.kind = kind;
+  msg.payload = std::move(payload);
+  w.governors[governor].on_message(msg);
+}
+
+GovernorConfig with_gossip() {
+  GovernorConfig c;
+  c.enable_label_gossip = true;
+  return c;
+}
+
+GovernorConfig with_defense() {
+  GovernorConfig c;
+  c.byzantine_defense = true;
+  return c;
+}
+
+/// Runs the election of round 1 on both governors; returns the winner.
+GovernorId elect(World& w) {
+  w.governors[0].begin_round(1);
+  w.governors[1].begin_round(1);
+  w.settle();
+  return *w.governors[0].round_leader();
+}
+
+const std::vector<UnknownIdCase>& unknown_id_cases() {
+  static const std::vector<UnknownIdCase> kCases = {
+      {"collector upload labeled by an unknown collector", {},
+       [](World& w) {
+         const auto tx = w.make_tx(0, 1, true);
+         deliver(w, w.directory.node_of(CollectorId(0)), net::MsgKind::kCollectorUpload,
+                 ledger::make_labeled(tx, Label::kValid, CollectorId(99),
+                                      w.collector_keys[0])
+                     .encode());
+         w.settle();
+         EXPECT_EQ(w.governors[0].metrics().uploads_rejected, 1u);
+         EXPECT_EQ(w.governors[0].pending_txs(), 0u);
+       }},
+      {"label gossip naming an unknown collector", with_gossip(),
+       [](World& w) {
+         const auto tx = w.make_tx(0, 1, true);
+         BinaryWriter payload;
+         payload.u32(1);
+         payload.bytes(
+             ledger::make_labeled(tx, Label::kInvalid, CollectorId(9), w.collector_keys[0])
+                 .encode());
+         deliver(w, w.directory.node_of(GovernorId(1)), net::MsgKind::kLabelGossip,
+                 std::move(payload).take());
+         EXPECT_EQ(w.governors[0].metrics().equivocations_detected, 0u);
+       }},
+      {"argue from an unknown provider", {},
+       [](World& w) {
+         const auto tx = w.make_tx(0, 1, true);
+         deliver(w, w.directory.node_of(ProviderId(0)), net::MsgKind::kArgue,
+                 make_argue(ProviderId(99), tx, 1, w.provider_keys[0]).encode());
+         EXPECT_EQ(w.governors[0].metrics().argues_accepted, 0u);
+       }},
+      {"VRF announcement from an unknown governor", {},
+       [](World& w) {
+         w.governors[0].begin_round(1);
+         VrfAnnounceMsg announce;
+         announce.round = 1;
+         announce.governor = GovernorId(9);
+         deliver(w, w.directory.node_of(GovernorId(1)), net::MsgKind::kVrfAnnounce,
+                 announce.encode());
+         w.settle();
+       }},
+      {"block proposal by an unknown leader", with_defense(),
+       [](World& w) {
+         deliver(w, w.directory.node_of(GovernorId(1)), net::MsgKind::kBlockProposal,
+                 ledger::make_block(1, 1, crypto::Hash256{}, GovernorId(9), {},
+                                    w.governor_keys[1])
+                     .encode());
+         w.settle();
+         EXPECT_EQ(w.governors[0].metrics().blocks_rejected, 1u);
+         EXPECT_EQ(w.governors[0].chain().height(), 0u);
+       }},
+      {"sync response carrying an unknown leader's block", {},
+       [](World& w) {
+         w.governors[0].sync_chain();
+         BlockResponseMsg resp;
+         resp.serial = 1;
+         resp.found = true;
+         resp.block = ledger::make_block(1, 1, crypto::Hash256{}, GovernorId(9), {},
+                                         w.governor_keys[1])
+                          .encode();
+         deliver(w, w.directory.node_of(GovernorId(1)), net::MsgKind::kBlockResponse,
+                 resp.encode());
+         EXPECT_EQ(w.governors[0].metrics().blocks_rejected, 1u);
+         EXPECT_EQ(w.governors[0].chain().height(), 0u);
+       }},
+      {"stake transfer from an unknown governor", {},
+       [](World& w) {
+         deliver(w, w.directory.node_of(GovernorId(1)), net::MsgKind::kStakeTx,
+                 make_stake_tx(GovernorId(9), GovernorId(0), 1, 0, w.governor_keys[1])
+                     .encode());
+         w.settle();
+         EXPECT_EQ(w.governors[0].stake().of(GovernorId(0)), 1u);
+       }},
+      {"state signature by an unknown signer", {},
+       [](World& w) {
+         const GovernorId leader = elect(w);
+         const GovernorId other(1 - leader.value());
+         auto& gov = w.governors[leader.value()];
+         gov.submit_stake_transfer(other, 1);
+         w.settle();
+         gov.run_stake_consensus_if_leader();  // leader now holds its proposal
+         StateSignatureMsg sig;
+         sig.round = 1;
+         sig.signer = GovernorId(9);
+         sig.sig = w.governor_keys[other.value()].sign(to_bytes("anything"));
+         deliver(w, w.directory.node_of(other), net::MsgKind::kStateSignature,
+                 sig.encode(), leader.value());
+       }},
+      {"state commit signed by an unknown governor", {},
+       [](World& w) {
+         const GovernorId leader = elect(w);
+         StateCommitMsg commit;
+         commit.round = 1;
+         commit.leader = leader;
+         commit.state = w.governors[0].stake().encode();
+         for (const GovernorId signer : {GovernorId(9), GovernorId(0)}) {
+           StateSignatureMsg sig;
+           sig.round = 1;
+           sig.signer = signer;
+           commit.signatures.push_back(sig);
+         }
+         deliver(w, w.directory.node_of(leader), net::MsgKind::kStateCommit,
+                 commit.encode());
+       }},
+      {"expulsion from an unknown accuser", {},
+       [](World& w) {
+         deliver(w, w.directory.node_of(GovernorId(1)), net::MsgKind::kExpelEvidence,
+                 make_expel(1, GovernorId(9), GovernorId(1), to_bytes("evidence"),
+                            w.governor_keys[1])
+                     .encode());
+         EXPECT_TRUE(w.governors[0].expelled().empty());
+       }},
+      {"expulsion of an unknown accused", {},
+       [](World& w) {
+         StateProposalMsg proposal;
+         proposal.round = 1;
+         proposal.leader = GovernorId(9);
+         deliver(w, w.directory.node_of(GovernorId(1)), net::MsgKind::kExpelEvidence,
+                 make_expel(1, GovernorId(1), GovernorId(9), proposal.encode(),
+                            w.governor_keys[1])
+                     .encode());
+         EXPECT_TRUE(w.governors[0].expelled().empty());
+       }},
+      {"provider sync response carrying an unknown leader's block", {},
+       [](World& w) {
+         const NodeId node = w.directory.node_of(ProviderId(0));
+         runtime::NodeContext ctx(node, w.net, w.rng.derive(200));
+         Provider provider(ProviderId(0), ctx, copy_key(w.provider_keys[0]), w.im, w.oracle,
+                           w.directory, /*active=*/true);
+         provider.sync();
+         BlockResponseMsg resp;
+         resp.serial = 1;
+         resp.found = true;
+         resp.block = ledger::make_block(1, 1, crypto::Hash256{}, GovernorId(9), {},
+                                         w.governor_keys[1])
+                          .encode();
+         net::Message msg;
+         msg.from = w.directory.node_of(GovernorId(0));
+         msg.to = node;
+         msg.kind = net::MsgKind::kBlockResponse;
+         msg.payload = resp.encode();
+         provider.on_message(msg);
+         EXPECT_EQ(provider.rejected_blocks(), 1u);
+         EXPECT_EQ(provider.chain().height(), 0u);
+       }},
+  };
+  return kCases;
+}
+
+TEST(GovernorUnknownIds, MessagesNamingUnknownIdsAreDropped) {
+  for (const UnknownIdCase& c : unknown_id_cases()) {
+    SCOPED_TRACE(c.name);
+    World w(c.config);
+    EXPECT_NO_THROW(c.run(w));
+  }
 }
 
 TEST(GovernorMisc, CopyKeyHelperCompiles) {
