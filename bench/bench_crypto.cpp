@@ -1,7 +1,10 @@
 // Crypto substrate microbenchmarks (plumbing cost context for every other
 // experiment): SHA-256/512 throughput, the field, scalar and group
 // operations under Ed25519, Ed25519 keygen/sign/verify, batch verification,
-// VRF evaluate/verify, Merkle tree construction.
+// VRF evaluate/verify, Merkle tree construction. Verification rows come in
+// two kinds: one-off keys (a PublicKey converted per call, the full-length
+// path) and enrolled keys (VerifyingKey::enrolled, split tables), as the
+// Identity Manager's members verify.
 
 #include <benchmark/benchmark.h>
 
@@ -74,6 +77,19 @@ void bm_verify(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(bm_verify)->Name("ed25519_verify");
+
+void bm_verify_enrolled(benchmark::State& state) {
+  Rng rng(5);
+  const SigningKey key(random_seed(rng));
+  const VerifyingKey enrolled = VerifyingKey::enrolled(key.public_key());
+  const Bytes msg = rng.bytes(128);
+  const Signature sig = key.sign(msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify(enrolled, msg, sig));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_verify_enrolled)->Name("ed25519_verify(enrolled)");
 
 Scalar random_scalar(Rng& rng) {
   ByteArray<64> wide{};
@@ -207,6 +223,49 @@ BENCHMARK(bm_batch_verify)
     ->Arg(64)
     ->Name("batch_verify/sigs");
 
+/// Shapes of the enrolled-key batch rows: {items, distinct keys}. A
+/// governor's upload flush holds about 5 items over about 3 keys.
+constexpr std::pair<std::size_t, std::size_t> kEnrolledShapes[] = {
+    {3, 1}, {3, 3}, {5, 1}, {5, 3}, {5, 5}, {16, 1}, {16, 3}, {16, 16}};
+
+/// n signed items over `keys` distinct enrolled keys, dealt round-robin.
+std::vector<BatchItem> enrolled_batch(Rng& rng, std::size_t n, std::size_t keys) {
+  std::vector<SigningKey> signers;
+  std::vector<VerifyingKey> enrolled;
+  for (std::size_t k = 0; k < keys; ++k) {
+    signers.emplace_back(random_seed(rng));
+    enrolled.push_back(VerifyingKey::enrolled(signers.back().public_key()));
+  }
+  std::vector<BatchItem> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    BatchItem item;
+    item.pub = enrolled[i % keys];
+    item.message = rng.bytes(64);
+    item.sig = signers[i % keys].sign(item.message);
+    items.push_back(std::move(item));
+  }
+  return items;
+}
+
+void bm_batch_verify_enrolled(benchmark::State& state) {
+  Rng rng(11);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<BatchItem> items =
+      enrolled_batch(rng, n, static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify_batch(items, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(bm_batch_verify_enrolled)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const auto& [n, keys] : kEnrolledShapes) {
+        b->Args({static_cast<std::int64_t>(n), static_cast<std::int64_t>(keys)});
+      }
+    })
+    ->ArgNames({"sigs", "keys"})
+    ->Name("batch_verify(enrolled)");
+
 void bm_merkle_build(benchmark::State& state) {
   Rng rng(8);
   std::vector<Bytes> leaves;
@@ -249,6 +308,9 @@ void write_json_summary() {
   add("ed25519_sign", 500, [&] { benchmark::DoNotOptimize(key.sign(msg)); });
   add("ed25519_verify", 500,
       [&] { benchmark::DoNotOptimize(verify(key.public_key(), msg, sig)); });
+  const VerifyingKey enrolled = VerifyingKey::enrolled(key.public_key());
+  add("ed25519_verify_enrolled", 500,
+      [&] { benchmark::DoNotOptimize(verify(enrolled, msg, sig)); });
   add("vrf_evaluate", 200,
       [&] { benchmark::DoNotOptimize(vrf_evaluate(key, alpha)); });
   add("vrf_verify", 200, [&] {
@@ -258,7 +320,21 @@ void write_json_summary() {
   // Batch-vs-single verification: the hot-path intake trades N single
   // verifies for one randomized batch equation, so the headline here is
   // amortized signatures/second and the speedup factor over the
-  // one-at-a-time path at the same batch size.
+  // one-at-a-time path with the same kind of key. One-off rows use a
+  // distinct converted PublicKey per item; enrolled rows deal the items
+  // over 1, 3 or n enrolled keys.
+  const auto batch_row = [&](const char* kind, std::size_t n, std::size_t keys,
+                             double items_per_sec, double single_per_sec) {
+    json.row("batch_verification",
+             {{"keys", repchain::bench::js(kind)},
+              {"batch_size", repchain::bench::ju(n)},
+              {"distinct_keys", repchain::bench::ju(keys)},
+              {"items_per_second", repchain::bench::jf(items_per_sec, 1)},
+              {"single_items_per_second", repchain::bench::jf(single_per_sec, 1)},
+              {"speedup_vs_single",
+               repchain::bench::jf(
+                   single_per_sec > 0.0 ? items_per_sec / single_per_sec : 0.0, 3)}});
+  };
   std::vector<BatchItem> items;
   Rng batch_rng(101);
   for (int i = 0; i < 64; ++i) {
@@ -280,14 +356,21 @@ void write_json_summary() {
     const double batches_per_sec = ops_per_sec(reps, [&] {
       benchmark::DoNotOptimize(verify_batch(chunk, batch_rng));
     });
-    const double items_per_sec = batches_per_sec * static_cast<double>(n);
-    json.row("batch_verification",
-             {{"batch_size", repchain::bench::ju(n)},
-              {"items_per_second", repchain::bench::jf(items_per_sec, 1)},
-              {"single_items_per_second", repchain::bench::jf(single_per_sec, 1)},
-              {"speedup_vs_single",
-               repchain::bench::jf(
-                   single_per_sec > 0.0 ? items_per_sec / single_per_sec : 0.0, 3)}});
+    batch_row("one-off", n, n, batches_per_sec * static_cast<double>(n), single_per_sec);
+  }
+  for (const auto& [n, keys] : kEnrolledShapes) {
+    const std::vector<BatchItem> chunk = enrolled_batch(batch_rng, n, keys);
+    const auto& first = chunk.front();
+    (void)verify(first.pub, first.message, first.sig);  // build the tables untimed
+    const double enrolled_single_per_sec = ops_per_sec(256, [&] {
+      benchmark::DoNotOptimize(verify(first.pub, first.message, first.sig));
+    });
+    const int reps = static_cast<int>(256 / n) + 1;
+    const double batches_per_sec = ops_per_sec(reps, [&] {
+      benchmark::DoNotOptimize(verify_batch(chunk, batch_rng));
+    });
+    batch_row("enrolled", n, keys, batches_per_sec * static_cast<double>(n),
+              enrolled_single_per_sec);
   }
   json.write();
 }

@@ -268,11 +268,13 @@ void bm_screen(benchmark::State& state) {
 
   crypto::SigningKey key{crypto::PrivateSeed{}};
   std::vector<ledger::Transaction> txs;
+  std::vector<ledger::TxId> ids;
   std::vector<std::vector<reputation::Report>> reports;
   Rng wl(2);
   for (int i = 0; i < 512; ++i) {
     txs.push_back(ledger::make_transaction(ProviderId(0), i, i, wl.bytes(16), key));
-    oracle.register_tx(txs.back().id(), wl.bernoulli(0.5));
+    ids.push_back(txs.back().id());
+    oracle.register_tx(ids.back(), wl.bernoulli(0.5));
     std::vector<reputation::Report> rep;
     for (std::uint32_t c = 0; c < 4; ++c) {
       rep.push_back({CollectorId(c), wl.bernoulli(0.8) ? ledger::Label::kValid
@@ -282,7 +284,7 @@ void bm_screen(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.screen(txs[i & 511], reports[i & 511]));
+    benchmark::DoNotOptimize(engine.screen(txs[i & 511], ids[i & 511], reports[i & 511]));
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

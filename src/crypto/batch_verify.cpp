@@ -1,5 +1,7 @@
 #include "crypto/batch_verify.hpp"
 
+#include <algorithm>
+
 #include "crypto/sha512.hpp"
 
 namespace repchain::crypto {
@@ -24,13 +26,13 @@ Scalar random_z(Rng& rng) {
 struct DecodedItem {
   Scalar s;
   Point r;
-  Point a;
   Scalar k;
 };
 
 /// Shared per-item parsing for batch verification. Returns false on any
 /// malformed item (non-canonical S, off-curve R or A).
 bool decode_item(const BatchItem& item, DecodedItem& out) {
+  if (item.pub.point() == nullptr) return false;
   ByteArray<32> r_enc{}, s_enc{};
   std::copy(item.sig.bytes.begin(), item.sig.bytes.begin() + 32, r_enc.begin());
   std::copy(item.sig.bytes.begin() + 32, item.sig.bytes.end(), s_enc.begin());
@@ -41,9 +43,6 @@ bool decode_item(const BatchItem& item, DecodedItem& out) {
   const auto r = point_decompress(r_enc);
   if (!r) return false;
   out.r = *r;
-  const Point* a = item.pub.point();
-  if (a == nullptr) return false;
-  out.a = *a;
 
   const Hash512 kh =
       sha512_concat({view(r_enc), view(item.pub.public_key().bytes), item.message});
@@ -58,21 +57,31 @@ bool decode_item(const BatchItem& item, DecodedItem& out) {
 bool verify_batch(std::span<const BatchItem> items, Rng& rng) {
   if (items.empty()) return true;
 
+  // [8]((sum z_i S_i) B - sum z_i R_i - sum_keys (sum z_i k_i) A) == 0: the
+  // items under one key share one scalar, and so one term.
   Scalar b_coeff = sc_zero();
-  std::vector<std::pair<Scalar, Point>> terms;
-  terms.reserve(items.size() * 2);
+  std::vector<std::pair<Scalar, Point>> r_terms;
+  std::vector<KeyTerm> key_terms;
+  r_terms.reserve(items.size());
+  key_terms.reserve(items.size());
 
   for (const BatchItem& item : items) {
     DecodedItem d;
     if (!decode_item(item, d)) return false;
 
     const Scalar z = random_z(rng);
-    // Accumulate: (sum z_i S_i) B - sum z_i R_i - sum z_i k_i A_i == 0.
     b_coeff = sc_muladd(z, d.s, b_coeff);
-    terms.emplace_back(z, point_neg(d.r));
-    terms.emplace_back(sc_muladd(z, d.k, sc_zero()), point_neg(d.a));
+    r_terms.emplace_back(z, point_neg(d.r));
+    const auto same_key = std::find_if(key_terms.begin(), key_terms.end(), [&](const KeyTerm& t) {
+      return t.key->public_key() == item.pub.public_key();
+    });
+    if (same_key == key_terms.end()) {
+      key_terms.push_back(KeyTerm{sc_muladd(z, d.k, sc_zero()), &item.pub});
+    } else {
+      same_key->s = sc_muladd(z, d.k, same_key->s);
+    }
   }
-  return point_is_identity(point_multi_scalar_mul(terms, b_coeff));
+  return point_is_small_order(point_multi_scalar_mul(r_terms, key_terms, b_coeff));
 }
 
 std::vector<bool> verify_batch_detailed(std::span<const BatchItem> items, Rng& rng) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "crypto/sha512.hpp"
@@ -57,12 +59,14 @@ Cached to_cached(const Point& p) {
   return Cached{fe_add(p.Y, p.X), fe_sub(p.Y, p.X), p.Z, fe_mul(p.T, fe_2d())};
 }
 
-Niels to_niels(const Point& p) {
-  const Fe zinv = fe_invert(p.Z);
+/// p as an affine addend, given zinv = 1/Z.
+Niels to_niels(const Point& p, const Fe& zinv) {
   const Fe x = fe_mul(p.X, zinv);
   const Fe y = fe_mul(p.Y, zinv);
   return Niels{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), fe_2d())};
 }
+
+Niels to_niels(const Point& p) { return to_niels(p, fe_invert(p.Z)); }
 
 /// dbl-2008-hwcd for a = -1.
 Completed dbl(const Projective& p) {
@@ -170,67 +174,146 @@ std::array<std::int8_t, 64> radix16_digits(const Scalar& s) {
   return e;
 }
 
-// ---- Sliding windows (variable-time, public inputs) ----
+// ---- Sliding windows over rows (variable-time, public inputs) ----
 
-using Digits = std::array<std::int8_t, 256>;
+/// Digit positions of a row: those of a 256-bit value plus one for the
+/// final carry.
+constexpr int kPositions = 257;
 
-/// Width-5 signed sliding-window digits: s = sum d[i] * 2^i with every
-/// nonzero d[i] odd in [-15, 15] and at least 5 positions after the previous
-/// one (s < 2^255).
-Digits window_digits(const Scalar& s) {
-  const u64 limbs[5] = {s.v[0], s.v[1], s.v[2], s.v[3], 0};
-  Digits d{};
+/// One row of a multi-scalar multiplication: signed width-5 sliding-window
+/// digits of a scalar, valid at positions 0..top, and the 8 odd multiples
+/// P, 3P, ..., 15P they index, either Cached (computed per call) or affine
+/// Niels (precomputed).
+struct Row {
+  std::array<std::int8_t, kPositions> digits{};
+  int top = -1;  // highest nonzero position, -1 for a zero scalar
+  const Cached* cached = nullptr;
+  const Niels* niels = nullptr;
+};
+
+/// Width-5 signed sliding-window digits of the (64 * nlimbs)-bit value in
+/// limbs: value = sum d[i] * 2^i with every nonzero d[i] odd in [-15, 15] and
+/// at least 5 positions after the previous one. A final carry lands on
+/// position 64 * nlimbs at the latest, so a 64-bit limb spans 65 positions,
+/// a 128-bit scalar 129 and a 256-bit one 257.
+void set_digits(Row& row, const u64* limbs, int nlimbs) {
+  const int nbits = 64 * nlimbs;
+  u64 padded[5] = {};
+  std::copy(limbs, limbs + nlimbs, padded);
+  std::int8_t* d = row.digits.data();
+  std::fill(d, d + nbits + 1, std::int8_t{0});
+  row.top = -1;
   u64 carry = 0;
-  for (int pos = 0; pos < 256;) {
+  for (int pos = 0; pos <= nbits;) {
     const int limb = pos / 64, bit = pos % 64;
-    u64 bits = limbs[limb] >> bit;
-    if (bit > 59) bits |= limbs[limb + 1] << (64 - bit);
+    u64 bits = padded[limb] >> bit;
+    if (bit > 59) bits |= padded[limb + 1] << (64 - bit);
     const u64 window = carry + (bits & 31);
     if ((window & 1) == 0) {
       ++pos;  // a zero digit; a pending carry moves up with it
       continue;
     }
     carry = window >> 4;  // windows 17..31 become window - 32, carrying 1
-    d[static_cast<std::size_t>(pos)] =
-        static_cast<std::int8_t>(static_cast<int>(window) - static_cast<int>(carry << 5));
+    d[pos] = static_cast<std::int8_t>(static_cast<int>(window) - static_cast<int>(carry << 5));
+    row.top = pos;
     pos += 5;
   }
-  return d;
 }
 
-int top_digit(const Digits& d) {
-  for (int i = 255; i >= 0; --i) {
-    if (d[static_cast<std::size_t>(i)] != 0) return i;
-  }
-  return -1;
-}
-
-/// P, 3P, 5P, ..., 15P.
-std::array<Cached, 8> odd_multiples(const Point& p) {
-  std::array<Cached, 8> out;
+/// P, 3P, 5P, ..., 15P in extended coordinates.
+std::array<Point, 8> odd_multiples(const Point& p) {
+  std::array<Point, 8> out;
   const Cached twice = to_cached(point_double(p));
-  Point multiple = p;
-  out[0] = to_cached(multiple);
-  for (std::size_t j = 1; j < 8; ++j) {
-    multiple = to_extended(add_cached(multiple, twice, false));
-    out[j] = to_cached(multiple);
+  out[0] = p;
+  for (std::size_t j = 1; j < 8; ++j) out[j] = to_extended(add_cached(out[j - 1], twice, false));
+  return out;
+}
+
+std::array<Cached, 8> cached_odd_multiples(const Point& p) {
+  const std::array<Point, 8> multiples = odd_multiples(p);
+  std::array<Cached, 8> out;
+  for (std::size_t j = 0; j < 8; ++j) out[j] = to_cached(multiples[j]);
+  return out;
+}
+
+/// Table j holds the odd multiples of 2^(64j) P: the rows of a scalar's
+/// 64-bit limb j read it.
+using SplitTables = std::array<std::array<Niels, 8>, 4>;
+
+/// The split tables of p as affine addends: 192 doublings for the strides,
+/// 32 odd multiples, and one inversion shared by all 32 (Montgomery's
+/// trick: invert the product of every Z, then peel each inverse off it).
+SplitTables split_tables(const Point& p) {
+  std::array<Point, 32> multiples;
+  Point stride = p;  // 2^(64j) p
+  for (std::size_t j = 0; j < 4; ++j) {
+    if (j > 0) {
+      Projective q = to_projective(stride);
+      for (int i = 0; i < 63; ++i) q = to_projective(dbl(q));
+      stride = to_extended(dbl(q));
+    }
+    const std::array<Point, 8> odd = odd_multiples(stride);
+    std::copy(odd.begin(), odd.end(), multiples.begin() + static_cast<std::ptrdiff_t>(8 * j));
+  }
+  std::array<Fe, 32> prefix;  // prefix[i] = Z_0 * ... * Z_i
+  prefix[0] = multiples[0].Z;
+  for (std::size_t i = 1; i < 32; ++i) prefix[i] = fe_mul(prefix[i - 1], multiples[i].Z);
+  Fe inv = fe_invert(prefix[31]);  // 1 / prefix[i] at the top of each step
+  SplitTables out;
+  for (std::size_t i = 32; i-- > 0;) {
+    const Fe zinv = i > 0 ? fe_mul(inv, prefix[i - 1]) : inv;
+    out[i / 8][i % 8] = to_niels(multiples[i], zinv);
+    inv = fe_mul(inv, multiples[i].Z);
   }
   return out;
 }
 
-/// B, 3B, ..., 15B as affine addends, built on first use.
-const std::array<Niels, 8>& base_odd_multiples() {
-  static const std::array<Niels, 8> kTable = [] {
-    std::array<Niels, 8> t;
-    const Point twice = point_double(point_base());
-    Point multiple = point_base();
-    for (Niels& entry : t) {
-      entry = to_niels(multiple);
-      multiple = point_add(multiple, twice);
+/// B's split tables, built on first use.
+const SplitTables& base_tables() {
+  static const SplitTables kTables = split_tables(point_base());
+  return kTables;
+}
+
+/// One row per 64-bit limb of s against split tables; returns the next row.
+Row* limb_rows(Row* out, const Scalar& s, const SplitTables& tables) {
+  for (std::size_t j = 0; j < 4; ++j, ++out) {
+    set_digits(*out, &s.v[j], 1);
+    out->cached = nullptr;
+    out->niels = tables[j].data();
+  }
+  return out;
+}
+
+/// One row over the whole of s against odd multiples computed per call.
+Row* scalar_row(Row* out, const Scalar& s, const std::array<Cached, 8>& table) {
+  set_digits(*out, s.v, 4);
+  out->cached = table.data();
+  out->niels = nullptr;
+  return out + 1;
+}
+
+/// The sum over every row's digits d[i] of [d[i] * 2^i] times its table's
+/// entry, in one doubling chain as long as the highest row.
+Point sum_rows(std::span<const Row> rows) {
+  int top = -1;
+  for (const Row& row : rows) top = std::max(top, row.top);
+  if (top < 0) return point_identity();
+
+  Projective acc = to_projective(point_identity());
+  for (int pos = top;; --pos) {
+    Completed t = dbl(acc);
+    const auto at = static_cast<std::size_t>(pos);
+    for (const Row& row : rows) {
+      if (pos > row.top) continue;
+      const int d = row.digits[at];
+      if (d == 0) continue;
+      const std::size_t j = static_cast<std::size_t>(std::abs(d) / 2);
+      t = row.niels != nullptr ? add_niels(to_extended(t), row.niels[j], d < 0)
+                               : add_cached(to_extended(t), row.cached[j], d < 0);
     }
-    return t;
-  }();
-  return kTable;
+    if (pos == 0) return to_extended(t);
+    acc = to_projective(t);
+  }
 }
 
 Scalar clamp_scalar(ByteArray<32> a) {
@@ -241,6 +324,34 @@ Scalar clamp_scalar(ByteArray<32> a) {
   return sc_from_bytes(a);
 }
 }  // namespace
+
+struct KeyTables {
+  SplitTables minus_a;  // split tables of -A
+};
+
+struct VerifyingKey::Lazy {
+  std::once_flag built;
+  std::unique_ptr<const KeyTables> tables;
+};
+
+VerifyingKey::VerifyingKey(const PublicKey& pub)
+    : public_(pub), point_(point_decompress(pub.bytes)) {
+  if (point_ && point_is_small_order(*point_)) point_.reset();
+}
+
+VerifyingKey VerifyingKey::enrolled(const PublicKey& pub) {
+  VerifyingKey key(pub);
+  if (key.point_) key.lazy_ = std::make_shared<Lazy>();
+  return key;
+}
+
+const KeyTables* VerifyingKey::tables() const {
+  if (!lazy_) return nullptr;
+  std::call_once(lazy_->built, [this] {
+    lazy_->tables = std::make_unique<const KeyTables>(KeyTables{split_tables(point_neg(*point_))});
+  });
+  return lazy_->tables.get();
+}
 
 Point point_identity() { return Point{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
 
@@ -279,38 +390,48 @@ Point point_base_mul(const Scalar& s) {
 }
 
 Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
-                             const Scalar& b) {
-  const Digits b_digits = window_digits(b);
-  int top = top_digit(b_digits);
-  std::vector<Digits> digits(terms.size());
-  std::vector<std::array<Cached, 8>> tables(terms.size());
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    digits[i] = window_digits(terms[i].first);
-    tables[i] = odd_multiples(terms[i].second);
-    top = std::max(top, top_digit(digits[i]));
+                             std::span<const KeyTerm> keys, const Scalar& b) {
+  // Per-call tables first, sized up front so the rows' pointers stay put.
+  std::size_t row_count = terms.size() + 4;
+  std::size_t one_off = 0;
+  for (const KeyTerm& key : keys) {
+    const bool split = key.key->tables() != nullptr;
+    row_count += split ? 4 : 1;
+    one_off += split ? 0 : 1;
   }
-  if (top < 0) return point_identity();
+  std::vector<std::array<Cached, 8>> tables;
+  tables.reserve(terms.size() + one_off);
+  std::vector<Row> rows(row_count);
+  Row* next = rows.data();
+  for (const auto& [s, p] : terms) {
+    next = scalar_row(next, s, tables.emplace_back(cached_odd_multiples(p)));
+  }
+  for (const KeyTerm& key : keys) {
+    if (const KeyTables* split = key.key->tables()) {
+      next = limb_rows(next, key.s, split->minus_a);
+    } else {
+      const Point minus_a = point_neg(*key.key->point());
+      next = scalar_row(next, key.s, tables.emplace_back(cached_odd_multiples(minus_a)));
+    }
+  }
+  limb_rows(next, b, base_tables());
+  return sum_rows(rows);
+}
 
-  const std::array<Niels, 8>& b_table = base_odd_multiples();
-  Projective acc = to_projective(point_identity());
-  for (int pos = top;; --pos) {
-    Completed t = dbl(acc);
-    const auto at = static_cast<std::size_t>(pos);
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      const int d = digits[i][at];
-      if (d != 0) t = add_cached(to_extended(t), tables[i][std::abs(d) / 2], d < 0);
-    }
-    if (const int d = b_digits[at]; d != 0) {
-      t = add_niels(to_extended(t), b_table[std::abs(d) / 2], d < 0);
-    }
-    if (pos == 0) return to_extended(t);
-    acc = to_projective(t);
-  }
+Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
+                             const Scalar& b) {
+  return point_multi_scalar_mul(terms, {}, b);
 }
 
 Point point_double_scalar_mul(const Scalar& a, const Point& p, const Scalar& b) {
   const std::pair<Scalar, Point> term{a, p};
-  return point_multi_scalar_mul({&term, 1}, b);
+  return point_multi_scalar_mul({&term, 1}, {}, b);
+}
+
+bool point_is_small_order(const Point& p) {
+  Projective q = to_projective(p);
+  for (int i = 0; i < 3; ++i) q = to_projective(dbl(q));
+  return fe_is_zero(q.X) && fe_equal(q.Y, q.Z);
 }
 
 bool point_equal(const Point& p, const Point& q) {
@@ -395,8 +516,7 @@ Signature SigningKey::sign(BytesView message) const {
 }
 
 bool verify(const VerifyingKey& key, BytesView message, const Signature& sig) {
-  const Point* a = key.point();
-  if (a == nullptr) return false;
+  if (key.point() == nullptr) return false;
 
   ByteArray<32> r_enc{}, s_enc{};
   std::copy(sig.bytes.begin(), sig.bytes.begin() + 32, r_enc.begin());
@@ -413,10 +533,11 @@ bool verify(const VerifyingKey& key, BytesView message, const Signature& sig) {
   std::copy(kh.begin(), kh.end(), kh_arr.begin());
   const Scalar k = sc_from_bytes_wide(kh_arr);
 
-  // Check [S]B == R + [k]A, rearranged as [k](-A) + [S]B == R so one
-  // shared doubling chain covers both multiplications.
-  const Point lhs = point_double_scalar_mul(k, point_neg(*a), s);
-  return point_equal(lhs, *r);
+  // [8]([S]B + [k](-A) - R) must be the identity; one shared doubling chain
+  // covers both multiplications.
+  const KeyTerm term{k, &key};
+  const Point sum = point_multi_scalar_mul({}, {&term, 1}, s);
+  return point_is_small_order(point_add(sum, point_neg(*r)));
 }
 
 }  // namespace repchain::crypto

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -33,18 +34,20 @@ struct Point {
 /// VRF proofs.
 [[nodiscard]] Point point_base_mul(const Scalar& s);
 
-/// sum_i [s_i]P_i + [b]B with one shared doubling chain and width-5 signed
-/// sliding windows: per term a table of the odd multiples P, 3P, ..., 15P
-/// (the B term uses a static one), so a 253-bit scalar costs about 42
-/// additions. Variable-time: for public scalars and points only (batch
-/// verification).
+/// sum_i [s_i]P_i + [b]B in one shared doubling chain; see the three-term
+/// overload below. Each P_i gets a table of odd multiples computed per call,
+/// so a 253-bit scalar costs about 253 doublings and 42 additions.
+/// Variable-time: for public scalars and points only.
 [[nodiscard]] Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
                                            const Scalar& b = sc_zero());
 
-/// [a]P + [b]B, the verification equation's multiplication ([k](-A) + [S]B);
-/// point_multi_scalar_mul with one term. Variable-time.
+/// [a]P + [b]B: point_multi_scalar_mul with one term. Variable-time.
 [[nodiscard]] Point point_double_scalar_mul(const Scalar& a, const Point& p,
                                             const Scalar& b);
+
+/// True iff [8]p is the identity: p is the identity or has order 2, 4 or 8.
+/// Verification checks its equation multiplied by this cofactor.
+[[nodiscard]] bool point_is_small_order(const Point& p);
 
 /// Projective equality (x1 == x2 and y1 == y2 as affine points).
 [[nodiscard]] bool point_equal(const Point& p, const Point& q);
@@ -72,27 +75,69 @@ struct Signature {
   auto operator<=>(const Signature&) const = default;
 };
 
+/// Precomputed tables of an enrolled key (defined in ed25519.cpp).
+struct KeyTables;
+
 /// A public key decoded once: its compressed bytes and the curve point they
-/// encode. The Identity Manager builds one per member at enrollment, so its
-/// checks skip point decompression. Bytes that are not a curve point give a
-/// key in a "not a point" state, under which no signature verifies.
+/// encode. Bytes that are not a curve point, or encode a point of small
+/// order (for which anyone could meet the cofactored equation: (R = [S]B, S)
+/// passes for every message), give a key in a "not a point" state, under
+/// which no signature verifies.
 ///
-/// Converts implicitly from PublicKey, so a PublicKey can be passed wherever
-/// a VerifyingKey is expected; it is then decoded on every such call.
+/// Two kinds:
+///   - one-off: converts implicitly from PublicKey, so a PublicKey can be
+///     passed wherever a VerifyingKey is expected. It is decoded on every
+///     such call, and verification multiplies -A over the whole 253-bit
+///     scalar against odd multiples computed per call.
+///   - enrolled (VerifyingKey::enrolled, what the Identity Manager builds per
+///     member): the first verification builds odd-multiple tables of -A,
+///     -2^64 A, -2^128 A and -2^192 A, about 4 KB, so later checks multiply
+///     A over 64-bit limbs in about 65 doublings. Copies share one build.
 class VerifyingKey {
  public:
   VerifyingKey() : VerifyingKey(PublicKey{}) {}
-  VerifyingKey(const PublicKey& pub)  // implicit on purpose, see above
-      : public_(pub), point_(point_decompress(pub.bytes)) {}
+  VerifyingKey(const PublicKey& pub);  // implicit on purpose, see above
+
+  /// An enrolled key. Only a small shared holder is allocated here; the
+  /// tables and their storage wait for the first tables() call.
+  [[nodiscard]] static VerifyingKey enrolled(const PublicKey& pub);
 
   [[nodiscard]] const PublicKey& public_key() const { return public_; }
-  /// The decoded point A, or nullptr when the bytes are not a curve point.
+  /// The decoded point A, or nullptr in the "not a point" state.
   [[nodiscard]] const Point* point() const { return point_ ? &*point_ : nullptr; }
 
+  /// The enrolled key's tables, built by the first call from any copy
+  /// (thread-safe, once); nullptr for a one-off key or a key in the "not a
+  /// point" state.
+  [[nodiscard]] const KeyTables* tables() const;
+
  private:
+  struct Lazy;
+
   PublicKey public_;
   std::optional<Point> point_;
+  std::shared_ptr<Lazy> lazy_;  // enrolled keys only
 };
+
+/// A key term of a multi-scalar multiplication: [s](-A) for key's point A.
+struct KeyTerm {
+  Scalar s;
+  const VerifyingKey* key = nullptr;  // must hold a curve point
+};
+
+/// sum_i [s_i]P_i + sum_k [s_k](-A_k) + [b]B in one shared doubling chain,
+/// with width-5 signed sliding windows. Every term becomes rows, and one loop
+/// runs them all; a row is the digits of a scalar against 8 odd multiples:
+///   - a point term: one row over the whole scalar, with the odd multiples of
+///     P_i computed per call;
+///   - a key term: one row per 64-bit limb of s_k against the enrolled key's
+///     tables, or one whole-scalar row like a point term for a one-off key;
+///   - [b]B: one row per 64-bit limb against four static tables of B.
+/// The chain is as long as the longest row: 65 doublings when only limbs
+/// and 64-bit scalars take part, 129 with 128-bit point scalars, 253 with
+/// full-length ones. Variable-time: for public scalars and points only.
+[[nodiscard]] Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
+                                           std::span<const KeyTerm> keys, const Scalar& b);
 
 /// Signing key with the expanded secret cached; deterministic signatures per
 /// RFC 8032 (no signing-time randomness — also what makes the VRF well
@@ -111,8 +156,10 @@ class SigningKey {
   PublicKey public_;
 };
 
-/// Verify an Ed25519 signature: [S]B == R + [k]A. Returns false (never
-/// throws) on any malformed input: non-canonical S, off-curve R or A.
+/// Verify an Ed25519 signature by RFC 8032 section 5.1.7's cofactored
+/// equation [8][S]B == [8]R + [8][k]A, the same one verify_batch checks, so
+/// a signature gets one verdict either way. Returns false (never throws) on
+/// any malformed input: non-canonical S, off-curve R or A. Variable-time.
 [[nodiscard]] bool verify(const VerifyingKey& key, BytesView message, const Signature& sig);
 
 }  // namespace repchain::crypto

@@ -18,7 +18,7 @@ Certificate IdentityManager::enroll(NodeId node, Role role, const crypto::Public
   cert.issued_at = issued_at;
   cert.serial = next_serial_++;
   cert.ca_signature = ca_key_.sign(cert.signed_preimage());
-  members_.emplace(node, Member{cert, crypto::VerifyingKey(key)});
+  members_.emplace(node, Member{cert, crypto::VerifyingKey::enrolled(key)});
   return cert;
 }
 

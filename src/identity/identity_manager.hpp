@@ -22,9 +22,10 @@ class IdentityManager {
   }
 
   /// Enroll a member: binds (node, role, key) in a CA-signed certificate and
-  /// decodes the key for later checks. A key that is not a curve point still
-  /// enrolls; no signature verifies under it. Throws ConfigError if the node
-  /// is already enrolled.
+  /// decodes the key as an enrolled crypto::VerifyingKey, whose tables the
+  /// member's first verification builds. A key that is not a curve point, or
+  /// has small order, still enrolls; no signature verifies under it. Throws
+  /// ConfigError if the node is already enrolled.
   Certificate enroll(NodeId node, Role role, const crypto::PublicKey& key,
                      SimTime issued_at = 0);
 
@@ -53,7 +54,7 @@ class IdentityManager {
   /// item, collect the surviving (key, message, sig) triples into one
   /// crypto::verify_batch call, and so decide exactly what the per-item
   /// authenticate/authorize calls would have decided. The key was decoded
-  /// once, at enrollment.
+  /// once, at enrollment, and its copies in a batch share its tables.
   [[nodiscard]] const crypto::VerifyingKey* verification_key(
       NodeId node, std::optional<Role> required_role = std::nullopt) const;
 
@@ -65,7 +66,7 @@ class IdentityManager {
  private:
   struct Member {
     Certificate cert;
-    crypto::VerifyingKey key;  // cert.public_key, decoded at enrollment
+    crypto::VerifyingKey key;  // cert.public_key, enrolled (tables on first use)
   };
 
   crypto::SigningKey ca_key_;

@@ -8,6 +8,13 @@
 
 namespace repchain::protocol {
 
+/// A screened record with its transaction id, hashed once at intake so the
+/// assembler's reconciliation never re-hashes its pending list.
+struct PendingRecord {
+  ledger::TxRecord record;
+  ledger::TxId id{};
+};
+
 /// The leader-side TXList of §3.1: accumulates screened records, packs up to
 /// b_limit of them into a signed block on top of the local chain head, and
 /// reconciles the pending list against accepted blocks so records are packed
@@ -17,7 +24,8 @@ class BlockAssembler {
  public:
   /// Queue one screened record for a future block (FIFO).
   void add_pending(ledger::TxRecord record) {
-    pending_.push_back(std::move(record));
+    const ledger::TxId id = record.tx.id();
+    pending_.push_back(PendingRecord{std::move(record), id});
   }
 
   /// Bulk intake for records that already cleared verification upstream
@@ -25,7 +33,7 @@ class BlockAssembler {
   /// the assembler trusts its callers and re-checks nothing, so a batch is
   /// one reserve plus element moves. The caller keeps the cleared vector —
   /// and its capacity — as a reusable arena.
-  void add_pending_batch(std::vector<ledger::TxRecord>& records) {
+  void add_pending_batch(std::vector<PendingRecord>& records) {
     pending_.reserve(pending_.size() + records.size());
     for (auto& rec : records) pending_.push_back(std::move(rec));
     records.clear();
@@ -59,7 +67,7 @@ class BlockAssembler {
   void reset_from_chain(const ledger::ChainStore& chain);
 
  private:
-  std::vector<ledger::TxRecord> pending_;
+  std::vector<PendingRecord> pending_;
   std::unordered_set<ledger::TxId, ledger::TxIdHash> packed_;  // already in a block
 };
 

@@ -35,9 +35,10 @@ void Provider::rsend(NodeId to, runtime::MsgKind kind, const Bytes& payload) {
 const ledger::Transaction& Provider::submit(Bytes payload, bool truly_valid) {
   const ledger::Transaction tx = ledger::make_transaction(
       id_, next_seq_++, ctx_.now(), std::move(payload), key_);
-  oracle_.register_tx(tx.id(), truly_valid);
+  const ledger::TxId tx_id = tx.id();
+  oracle_.register_tx(tx_id, truly_valid);
 
-  auto [it, inserted] = own_.emplace(tx.id(), OwnTx{tx, truly_valid, false, false});
+  auto [it, inserted] = own_.emplace(tx_id, OwnTx{tx, truly_valid, false, false});
 
   if (double_spend_p_ > 0.0 && ctx_.rng().bernoulli(double_spend_p_)) {
     // Double-spend: a second provider-signed transaction reusing this
@@ -83,8 +84,9 @@ const ledger::Transaction& Provider::submit_to(NodeId collector, Bytes payload,
                                                bool truly_valid) {
   const ledger::Transaction tx = ledger::make_transaction(
       id_, next_seq_++, ctx_.now(), std::move(payload), key_);
-  oracle_.register_tx(tx.id(), truly_valid);
-  auto [it, inserted] = own_.emplace(tx.id(), OwnTx{tx, truly_valid, false, false});
+  const ledger::TxId tx_id = tx.id();
+  oracle_.register_tx(tx_id, truly_valid);
+  auto [it, inserted] = own_.emplace(tx_id, OwnTx{tx, truly_valid, false, false});
   rsend(collector, runtime::MsgKind::kProviderTx, it->second.tx.encode());
   return it->second.tx;
 }

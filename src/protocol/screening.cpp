@@ -8,7 +8,7 @@ ScreeningEngine::ScreeningEngine(reputation::ReputationTable& table,
                                  ledger::ValidationOracle& oracle, Rng& rng)
     : table_(table), oracle_(oracle), rng_(rng) {}
 
-ScreeningOutcome ScreeningEngine::screen(const ledger::Transaction& tx,
+ScreeningOutcome ScreeningEngine::screen(const ledger::Transaction& tx, const ledger::TxId& id,
                                          std::span<const reputation::Report> reports) {
   ++stats_.screened;
   ScreeningOutcome out;
@@ -28,7 +28,7 @@ ScreeningOutcome ScreeningEngine::screen(const ledger::Transaction& tx,
   if (do_check) {
     out.checked = true;
     ++stats_.checked;
-    const bool valid = oracle_.validate(tx.id());
+    const bool valid = oracle_.validate(id);
     // Algorithm 3, case 2: every reporter's misreport counter moves.
     table_.update_checked(tx.provider, reports, valid);
     if (valid) {

@@ -45,8 +45,9 @@ class ScreeningEngine {
   ScreeningEngine(reputation::ReputationTable& table, ledger::ValidationOracle& oracle,
                   Rng& rng);
 
-  /// Screen one transaction. `reports` must be non-empty.
-  ScreeningOutcome screen(const ledger::Transaction& tx,
+  /// Screen one transaction, whose id the caller has already hashed.
+  /// `reports` must be non-empty.
+  ScreeningOutcome screen(const ledger::Transaction& tx, const ledger::TxId& id,
                           std::span<const reputation::Report> reports);
 
   [[nodiscard]] const ScreeningStats& stats() const { return stats_; }

@@ -199,25 +199,25 @@ void ScreeningIntake::screen(const ledger::TxId& id) {
   agg.screened = true;
   screened_.insert(id);
 
-  const ScreeningOutcome out = engine_.screen(agg.tx, agg.reports);
+  const ScreeningOutcome out = engine_.screen(agg.tx, id, agg.reports);
   switch (out.kind) {
     case ScreeningKind::kAppendedValid: {
-      ledger::TxRecord rec;
-      rec.tx = std::move(agg.tx);
-      rec.label = Label::kValid;
-      rec.status = TxStatus::kCheckedValid;
-      screen_batch_.push_back(std::move(rec));
+      PendingRecord& pending = screen_batch_.emplace_back();
+      pending.record.tx = std::move(agg.tx);
+      pending.record.label = Label::kValid;
+      pending.record.status = TxStatus::kCheckedValid;
+      pending.id = id;
       break;
     }
     case ScreeningKind::kDiscardedInvalid:
       break;  // checked invalid: never enters a block
     case ScreeningKind::kRecordedUnchecked: {
       argues_.record_unchecked(agg.tx, agg.reports);
-      ledger::TxRecord rec;
-      rec.tx = std::move(agg.tx);
-      rec.label = Label::kInvalid;
-      rec.status = TxStatus::kUncheckedInvalid;
-      screen_batch_.push_back(std::move(rec));
+      PendingRecord& pending = screen_batch_.emplace_back();
+      pending.record.tx = std::move(agg.tx);
+      pending.record.label = Label::kInvalid;
+      pending.record.status = TxStatus::kUncheckedInvalid;
+      pending.id = id;
       break;
     }
   }

@@ -182,7 +182,7 @@ class ScreeningIntake {
   // Screening deadlines in FIFO order (monotone first components) and the
   // reusable record buffer the sweep hands to the assembler in bulk.
   std::deque<std::pair<SimTime, ledger::TxId>> screen_queue_;
-  std::vector<ledger::TxRecord> screen_batch_;
+  std::vector<PendingRecord> screen_batch_;
 };
 
 }  // namespace repchain::protocol

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -32,10 +33,19 @@ class VerifiedBatch {
  public:
   using Index = std::size_t;
 
-  /// Queue one signature for bulk verification.
+  /// Queue one signature for bulk verification. A triple equal to a queued
+  /// one (key bytes, message and signature) shares its slot, and so its
+  /// verdict, instead of entering the equation twice.
   Index add(const crypto::VerifyingKey& key, Bytes message, const crypto::Signature& sig) {
-    items_.push_back(crypto::BatchItem{key, std::move(message), sig});
-    slots_.push_back(items_.size() - 1);
+    const auto same = std::find_if(items_.begin(), items_.end(), [&](const crypto::BatchItem& it) {
+      return it.sig == sig && it.pub.public_key() == key.public_key() && it.message == message;
+    });
+    if (same == items_.end()) {
+      items_.push_back(crypto::BatchItem{key, std::move(message), sig});
+      slots_.push_back(items_.size() - 1);
+    } else {
+      slots_.push_back(static_cast<std::size_t>(same - items_.begin()));
+    }
     verdicts_.push_back(kPending);
     return verdicts_.size() - 1;
   }
@@ -56,7 +66,8 @@ class VerifiedBatch {
   [[nodiscard]] bool ok(Index i) const { return verdicts_[i] == kTrue; }
 
   [[nodiscard]] std::size_t size() const { return verdicts_.size(); }
-  /// How many items actually went through cryptographic verification.
+  /// How many distinct items actually went through cryptographic
+  /// verification.
   [[nodiscard]] std::size_t crypto_checks() const { return items_.size(); }
   [[nodiscard]] bool settled() const { return settled_; }
 

@@ -2,12 +2,15 @@
 
 // The straightforward arithmetic that the Ed25519 fast paths replaced, kept
 // as differential oracles for the tests: double-and-add scalar
-// multiplication and bit-serial reduction mod L. Both branch on their inputs
-// and are orders of magnitude slower; nothing outside tests/ uses them.
+// multiplication, a verification built on it, and bit-serial reduction
+// mod L. All branch on their inputs and are orders of magnitude slower;
+// nothing outside tests/ uses them.
 
+#include <algorithm>
 #include <cstdint>
 
 #include "crypto/ed25519.hpp"
+#include "crypto/sha512.hpp"
 
 namespace repchain::crypto {
 
@@ -22,6 +25,25 @@ inline Point point_scalar_mul(const Point& p, const Scalar& s) {
     }
   }
   return acc;
+}
+
+/// RFC 8032's cofactored check [8]([S]B - R - [k]A) == O, every
+/// multiplication by the ladder above and every step spelled out.
+inline bool verify_by_ladder(const PublicKey& pub, BytesView message, const Signature& sig) {
+  const auto a = point_decompress(pub.bytes);
+  ByteArray<32> r_enc{}, s_enc{};
+  std::copy(sig.bytes.begin(), sig.bytes.begin() + 32, r_enc.begin());
+  std::copy(sig.bytes.begin() + 32, sig.bytes.end(), s_enc.begin());
+  const auto r = point_decompress(r_enc);
+  if (!a || !r || !sc_is_canonical(s_enc)) return false;
+  const Hash512 kh = sha512_concat({view(r_enc), view(pub.bytes), message});
+  ByteArray<64> wide{};
+  std::copy(kh.begin(), kh.end(), wide.begin());
+  const Scalar k = sc_from_bytes_wide(wide);
+  Point diff = point_add(point_scalar_mul(point_base(), sc_from_bytes(s_enc)),
+                         point_neg(point_add(*r, point_scalar_mul(*a, k))));
+  for (int i = 0; i < 3; ++i) diff = point_double(diff);
+  return point_is_identity(diff);
 }
 
 namespace oracle {

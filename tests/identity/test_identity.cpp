@@ -162,6 +162,21 @@ TEST(IdentityManager, EnrolledKeyIsDecodedOnce) {
   EXPECT_TRUE(crypto::verify(*vk, msg, key.sign(msg)));
 }
 
+TEST(IdentityManager, EnrolledKeyCarriesSharedTables) {
+  Fixture f;
+  const auto key = f.new_key();
+  f.im.enroll(NodeId(5), Role::kProvider, key.public_key());
+  const crypto::VerifyingKey* vk = f.im.verification_key(NodeId(5));
+  ASSERT_NE(vk, nullptr);
+  const Bytes msg = to_bytes("tx");
+  EXPECT_TRUE(f.im.authenticate(NodeId(5), msg, key.sign(msg)));
+  // The member's key was enrolled, so its first check built the split
+  // tables, and a copy (as in a verification batch) shares them.
+  ASSERT_NE(vk->tables(), nullptr);
+  const crypto::VerifyingKey copy = *vk;
+  EXPECT_EQ(copy.tables(), vk->tables());
+}
+
 TEST(IdentityManager, OffCurveKeyEnrollsButVerifiesNothing) {
   Fixture f;
   // A y coordinate with no matching x: not a curve point.

@@ -226,7 +226,7 @@ TEST(ScreeningEngine, PlusOnePickAlwaysChecked) {
     const auto tx = f.make_tx(i, true);
     const std::vector<reputation::Report> reports = {
         {CollectorId(0), Label::kValid}, {CollectorId(1), Label::kValid}};
-    const auto out = f.engine.screen(tx, reports);
+    const auto out = f.engine.screen(tx, tx.id(), reports);
     EXPECT_TRUE(out.checked);
     EXPECT_EQ(out.kind, ScreeningKind::kAppendedValid);
   }
@@ -238,7 +238,7 @@ TEST(ScreeningEngine, CheckedInvalidDiscarded) {
   ScreeningFixture f;
   const auto tx = f.make_tx(1, false);
   const std::vector<reputation::Report> reports = {{CollectorId(0), Label::kValid}};
-  const auto out = f.engine.screen(tx, reports);
+  const auto out = f.engine.screen(tx, tx.id(), reports);
   EXPECT_EQ(out.kind, ScreeningKind::kDiscardedInvalid);
   // Misreport counter moved for the wrong labeler (case 2).
   EXPECT_EQ(f.table.misreport(CollectorId(0)), -1);
@@ -252,7 +252,7 @@ TEST(ScreeningEngine, MinusOneSometimesUnchecked) {
   for (int i = 0; i < n; ++i) {
     const auto tx = f.make_tx(100 + i, false);
     const std::vector<reputation::Report> reports = {{CollectorId(0), Label::kInvalid}};
-    const auto out = f.engine.screen(tx, reports);
+    const auto out = f.engine.screen(tx, tx.id(), reports);
     if (out.kind == ScreeningKind::kRecordedUnchecked) ++unchecked;
   }
   EXPECT_NEAR(static_cast<double>(unchecked) / n, 0.5, 0.04);
@@ -269,7 +269,7 @@ TEST(ScreeningEngine, UncheckedFractionBoundedByF) {
         {CollectorId(0), Label::kInvalid},
         {CollectorId(1), Label::kInvalid},
         {CollectorId(2), Label::kValid}};
-    const auto out = f.engine.screen(tx, reports);
+    const auto out = f.engine.screen(tx, tx.id(), reports);
     if (!out.checked) ++unchecked;
   }
   EXPECT_LE(static_cast<double>(unchecked) / n, 0.5 + 0.03);
@@ -287,7 +287,7 @@ TEST(ScreeningEngine, SelectionRespectsReputation) {
   for (int i = 0; i < n; ++i) {
     const auto tx = f.make_tx(50'000 + i, true);
     const auto out = f.engine.screen(
-        tx, std::vector<reputation::Report>{{CollectorId(0), Label::kValid},
+        tx, tx.id(), std::vector<reputation::Report>{{CollectorId(0), Label::kValid},
                                             {CollectorId(1), Label::kInvalid}});
     if (out.selection.chosen == CollectorId(1)) ++chose_bad;
   }
