@@ -40,7 +40,7 @@ sim::ScenarioConfig base_config() {
   cfg.txs_per_provider_per_round = 3;
   cfg.p_valid = 0.8;
   cfg.latency = net::LatencyModel{1 * kMillisecond, 2 * kMillisecond};
-  cfg.reliable_delivery = true;
+  cfg.governor.reliable_delivery = true;
   cfg.seed = kSeed;
   return cfg;
 }

@@ -98,7 +98,7 @@ std::size_t min_live_governors(const std::vector<CrashPlan>& plans,
 }
 
 sim::ScenarioConfig free_run_config(sim::ScenarioConfig base) {
-  base.reliable_delivery = true;
+  base.governor.reliable_delivery = true;
   if (base.governor.watchdog_rounds == 0) base.governor.watchdog_rounds = 2;
   // Audits would need mid-round reveal RPCs riding the self-driving
   // schedule; cross-shard traffic is meaningless with one committee.
@@ -120,11 +120,11 @@ sim::ScenarioConfig free_run_config(sim::ScenarioConfig base) {
 sim::ScenarioConfig free_run_normalized(sim::ScenarioConfig config) {
   sim::normalize_config(config);
   sim::require_cluster_runnable(config);
-  if (!config.reliable_delivery) {
+  if (!config.governor.reliable_delivery) {
     throw ConfigError(
-        "free-run: reliable_delivery is required (derive the config with "
-        "free_run_config: no cross-process atomic-broadcast sequencer exists "
-        "off the lockstep plane)");
+        "free-run: governor.reliable_delivery is required (derive the config "
+        "with free_run_config: no cross-process atomic-broadcast sequencer "
+        "exists off the lockstep plane)");
   }
   return config;
 }
@@ -189,7 +189,7 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config, LocalCluster& cluster,
     providers_.emplace_back(id, provider_ctxs_.back(),
                             std::move(model_.provider_keys[i]), *model_.im,
                             oracle_, model_.directory, config_.providers_active,
-                            config_.reliable_delivery);
+                            config_.governor.reliable_delivery);
     transport_.host(model_.directory.node_of(id),
                     [this, i](const runtime::Message& m) {
                       providers_[i].on_message(m);
@@ -206,7 +206,7 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config, LocalCluster& cluster,
     collectors_.emplace_back(id, collector_ctxs_.back(),
                              std::move(model_.collector_keys[i]), *model_.im,
                              oracle_, model_.directory, upload_group_, behavior,
-                             config_.reliable_delivery);
+                             config_.governor.reliable_delivery);
     transport_.host(model_.directory.node_of(id),
                     [this, i](const runtime::Message& m) {
                       collectors_[i].on_message(m);

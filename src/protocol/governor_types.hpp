@@ -34,11 +34,13 @@ struct GovernorConfig {
   /// commit, without snapshotting eagerly on every stake transform. 0 (the
   /// default) keeps the eager behavior: a full snapshot at each commit.
   std::size_t wal_compaction_appends = 0;
-  /// Opt-in reliable delivery: protocol-critical traffic (uploads, governor
-  /// peer messages, block sync) goes through a ReliableChannel
-  /// (ack + retransmit + backoff) instead of the bare transport, and the
-  /// leader election closes on a majority quorum at propose time rather
-  /// than requiring every announcement. Off by default — the clean-network
+  /// Opt-in reliable delivery, the run's one delivery-mode setting: hosts
+  /// hand it to providers and collectors too, so all three tiers' traffic
+  /// (submissions, uploads, argues, governor peer messages, block sync) goes
+  /// through per-node ReliableChannels (ack + retransmit + backoff) instead
+  /// of the bare transport and the atomic broadcast groups, and the leader
+  /// election closes on a majority quorum at propose time rather than
+  /// requiring every announcement. Off by default — the clean-network
   /// golden runs stay bit-identical.
   bool reliable_delivery = false;
   /// Liveness watchdog: after this many consecutive rounds without a local

@@ -158,11 +158,6 @@ struct ScenarioConfig {
   /// label gossip) — attacks without their paired defenses are not a
   /// supported configuration.
   adversary::AdversarySpec adversary;
-  /// Route protocol traffic through per-node ReliableChannels (ack +
-  /// retransmit + backoff) and let elections close on a majority quorum.
-  /// Mirrors GovernorConfig::reliable_delivery and enables the same mode on
-  /// providers and collectors.
-  bool reliable_delivery = false;
   /// Attach a NodeStateStore to every governor even without crashes (to
   /// measure persistence overhead or snapshot sizes).
   bool durable_governors = false;

@@ -9,9 +9,11 @@ namespace repchain::sim {
 namespace {
 
 // v1 predates sharding; v2 appends shard_count / anchor_interval /
-// cross_shard_probability / bounded_history. The version byte leads the
-// encoding, so v1 and v2 universes can never present the same genesis hash.
-constexpr std::uint8_t kConfigVersion = 2;
+// cross_shard_probability / bounded_history; v3 drops the scenario-level
+// reliable_delivery boolean (the governor's flag is the one setting). The
+// version byte leads the encoding, so universes of different versions can
+// never present the same genesis hash.
+constexpr std::uint8_t kConfigVersion = 3;
 
 /// Crash and adversary plans index the live node arrays directly, so an
 /// index past its topology count must never reach the harness.
@@ -79,7 +81,6 @@ void normalize_config(ScenarioConfig& config) {
         "partial governor visibility is not supported with shard_count > 1 "
         "(visibility views are drawn over the global collector set)");
   config.governor.enable_label_gossip |= config.enable_label_gossip;
-  config.governor.reliable_delivery |= config.reliable_delivery;
   // A scheduled adversary switches on the paired defenses: the Byzantine
   // checks (proposal echo + 2Delta hold, sync corroboration, double-spend
   // serial guard) and the label gossip the equivocation detector feeds on.
@@ -145,7 +146,6 @@ Bytes encode_config(const ScenarioConfig& c) {
   w.u64(c.validation_cost);
   w.f64(c.governor_visibility);
   w.boolean(c.enable_label_gossip);
-  w.boolean(c.reliable_delivery);
   w.u64(c.seed);
   w.u64(c.shard_count);
   w.u64(c.anchor_interval);
@@ -209,7 +209,6 @@ ScenarioConfig decode_config(BytesView data) {
   c.validation_cost = r.u64();
   c.governor_visibility = r.f64();
   c.enable_label_gossip = r.boolean();
-  c.reliable_delivery = r.boolean();
   c.seed = r.u64();
   c.shard_count = r.u64();
   c.anchor_interval = r.u64();

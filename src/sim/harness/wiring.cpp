@@ -95,7 +95,7 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
     providers_.emplace_back(id, provider_ctxs_.back(), std::move(provider_keys[i]),
                             *im_, *oracle_,
                             shard_directories_[router_.shard_of(id).value()],
-                            config_.providers_active, config_.reliable_delivery);
+                            config_.providers_active, config_.governor.reliable_delivery);
     net_->set_handler(directory_.node_of(id), [this, i](const net::Message& m) {
       providers_[i].on_message(m);
     });
@@ -118,7 +118,7 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
     collectors_.emplace_back(id, collector_ctxs_.back(), std::move(collector_keys[i]),
                              *im_, *oracle_, shard_directories_[shard.value()],
                              *shard_groups_[shard.value()], behavior,
-                             config_.reliable_delivery);
+                             config_.governor.reliable_delivery);
     if (config_.shard_count > 1) {
       collectors_.back().set_shard_filter([this, shard](ProviderId p) {
         return router_.shard_of(p) == shard;

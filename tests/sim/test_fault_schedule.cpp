@@ -28,7 +28,7 @@ ScenarioConfig reliable_config() {
   cfg.providers_active = false;
   cfg.audit_probability = 0.0;
   cfg.latency = net::LatencyModel{2 * kMillisecond, 2 * kMillisecond};
-  cfg.reliable_delivery = true;
+  cfg.governor.reliable_delivery = true;
   cfg.seed = 7001;
   return cfg;
 }
@@ -137,7 +137,7 @@ TEST(FaultScheduleSim, DuplicationWithoutReliableDeliveryIsIdempotent) {
   // election's per-governor record and the sequenced-duplicate guard absorb
   // the replays.
   ScenarioConfig cfg = reliable_config();
-  cfg.reliable_delivery = false;
+  cfg.governor.reliable_delivery = false;
   DuplicationSpec dup;
   dup.from_round = 1;
   dup.until_round = 9;
@@ -242,7 +242,7 @@ ScenarioConfig chaos_config(std::uint64_t seed) {
   cfg.txs_per_provider_per_round = 3;
   cfg.p_valid = 0.8;
   cfg.latency = net::LatencyModel{1 * kMillisecond, 2 * kMillisecond};
-  cfg.reliable_delivery = true;
+  cfg.governor.reliable_delivery = true;
   cfg.seed = seed;
   return cfg;
 }

@@ -104,7 +104,7 @@ sim::ScenarioConfig make_config(std::uint64_t seed, std::size_t rounds) {
   cfg.txs_per_provider_per_round = 3;
   cfg.p_valid = 0.8;
   cfg.latency = net::LatencyModel{1 * kMillisecond, 2 * kMillisecond};
-  cfg.reliable_delivery = true;
+  cfg.governor.reliable_delivery = true;
   cfg.seed = seed;
 
   const std::size_t heal = rounds - 3;
@@ -182,7 +182,7 @@ sim::ScenarioConfig make_byzantine_config(std::uint64_t seed, std::size_t rounds
   cfg.txs_per_provider_per_round = 3;
   cfg.p_valid = 0.8;
   cfg.latency = net::LatencyModel{1 * kMillisecond, 2 * kMillisecond};
-  cfg.reliable_delivery = true;
+  cfg.governor.reliable_delivery = true;
   cfg.seed = seed;
 
   const std::size_t heal = rounds - 2;
