@@ -10,8 +10,8 @@
 // head/serial RPCs that back the statistical convergence contract.
 //
 // Free-running requires reliable delivery: there is no cross-process atomic
-// broadcast sequencer, so the governor's rbroadcast path must be the
-// ReliableChannel one (order-tolerant receive paths, per-peer retransmit).
+// broadcast sequencer, so the governor's runtime::Delivery must run on its
+// ReliableChannel (order-tolerant receive paths, per-peer retransmit).
 // The Broadcaster handed to the governor therefore throws on use — a call
 // means a code path that cannot be correct off the simulator's total order.
 

@@ -6,8 +6,8 @@ using ledger::Label;
 using ledger::TxStatus;
 
 void ArgueService::record_unchecked(const ledger::Transaction& tx,
+                                    const ledger::TxId& id,
                                     std::vector<reputation::Report> reports) {
-  const ledger::TxId id = tx.id();
   UncheckedEntry entry;
   entry.tx = tx;
   entry.reports = std::move(reports);

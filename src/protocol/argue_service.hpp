@@ -29,8 +29,9 @@ class ArgueService {
         argue_buffer_(argue_latency_u) {}
 
   /// Screening recorded (tx, invalid, unchecked): snapshot the reports and
-  /// loss metrics and open the argue window.
-  void record_unchecked(const ledger::Transaction& tx,
+  /// loss metrics and open the argue window. `id` is tx.id(), which the
+  /// screening caller already holds.
+  void record_unchecked(const ledger::Transaction& tx, const ledger::TxId& id,
                         std::vector<reputation::Report> reports);
 
   /// True iff `id` is known (pending or already revealed) — uploads of such

@@ -19,20 +19,12 @@ Collector::Collector(CollectorId id, runtime::NodeContext& ctx, crypto::SigningK
       im_(im),
       oracle_(oracle),
       directory_(directory),
-      upload_group_(upload_group),
-      behavior_(behavior) {
-  if (reliable_delivery) {
-    channel_.emplace(ctx_, /*epoch=*/0);
-    channel_->set_deliver([this](const runtime::Message& m) { on_message(m); });
-  }
-}
+      out_(ctx, upload_group, reliable_delivery, /*epoch=*/0,
+           [this](const runtime::Message& m) { on_message(m); }),
+      behavior_(behavior) {}
 
 void Collector::on_message(const runtime::Message& msg) {
-  if (msg.kind == runtime::MsgKind::kReliableData ||
-      msg.kind == runtime::MsgKind::kReliableAck) {
-    if (channel_) channel_->on_message(msg);
-    return;
-  }
+  if (out_.on_message(msg)) return;
   if (msg.kind != runtime::MsgKind::kProviderTx) return;
   ledger::Transaction tx;
   try {
@@ -92,21 +84,11 @@ void Collector::on_message(const runtime::Message& msg) {
   }
 }
 
-void Collector::upload_fanout(const Bytes& payload) {
-  if (!channel_) {
-    upload_group_.broadcast(node_, runtime::MsgKind::kCollectorUpload, payload);
-    return;
-  }
-  for (const NodeId gov : directory_.governor_nodes()) {
-    channel_->send(gov, runtime::MsgKind::kCollectorUpload, payload);
-  }
-}
-
 void Collector::upload(const ledger::Transaction& tx, Label label) {
   ++stats_.uploaded;
   if (!behavior_.equivocate) {
     const ledger::LabeledTransaction ltx = ledger::make_labeled(tx, label, id_, key_);
-    upload_fanout(ltx.encode());
+    out_.broadcast(runtime::MsgKind::kCollectorUpload, ltx.encode());
     return;
   }
   // Equivocation: a Byzantine collector bypasses the atomic broadcast and
@@ -136,7 +118,7 @@ void Collector::upload_forgery(ProviderId provider) {
 
   const ledger::LabeledTransaction ltx =
       ledger::make_labeled(fake, Label::kValid, id_, key_);
-  upload_fanout(ltx.encode());
+  out_.broadcast(runtime::MsgKind::kCollectorUpload, ltx.encode());
 }
 
 }  // namespace repchain::protocol

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -11,8 +10,8 @@
 #include "ledger/validation_oracle.hpp"
 #include "protocol/directory.hpp"
 #include "runtime/broadcaster.hpp"
+#include "runtime/delivery.hpp"
 #include "runtime/node_context.hpp"
-#include "runtime/reliable_channel.hpp"
 
 namespace repchain::protocol {
 
@@ -88,10 +87,10 @@ struct CollectorStats {
 /// Behavioral randomness draws from the NodeContext's per-node rng stream.
 class Collector {
  public:
-  /// `reliable_delivery` routes uploads through a per-node ReliableChannel
-  /// (ack + retransmit) to each governor instead of the atomic broadcast
-  /// group; equivocators keep their bare per-governor sends (a Byzantine
-  /// collector steps outside the delivery primitive either way).
+  /// `reliable_delivery` selects the node's runtime::Delivery mode for its
+  /// uploads to `upload_group`; equivocators keep their bare per-governor
+  /// sends (a Byzantine collector steps outside the delivery primitive
+  /// either way).
   Collector(CollectorId id, runtime::NodeContext& ctx, crypto::SigningKey key,
             const identity::IdentityManager& im, ledger::ValidationOracle& oracle,
             const Directory& directory, runtime::Broadcaster& upload_group,
@@ -116,22 +115,14 @@ class Collector {
     same_shard_ = std::move(same_shard);
   }
   [[nodiscard]] const CollectorStats& stats() const { return stats_; }
-  [[nodiscard]] const runtime::ReliableChannel* channel() const {
-    return channel_ ? &*channel_ : nullptr;
-  }
 
   /// Transport reconnect notification: refresh the reliable channel's retry
-  /// budget for `peer` (no-op without a channel).
-  void on_peer_reconnected(NodeId peer) {
-    if (channel_) channel_->on_peer_reconnect(peer);
-  }
+  /// budget for `peer` (no-op in atomic mode).
+  void on_peer_reconnected(NodeId peer) { out_.on_peer_reconnect(peer); }
 
  private:
   void upload(const ledger::Transaction& tx, ledger::Label label);
   void upload_forgery(ProviderId provider);
-  /// Honest upload fan-out: the broadcast group, or per-governor reliable
-  /// channel sends in reliable mode.
-  void upload_fanout(const Bytes& payload);
 
   CollectorId id_;
   runtime::NodeContext& ctx_;
@@ -140,11 +131,10 @@ class Collector {
   const identity::IdentityManager& im_;
   ledger::ValidationOracle& oracle_;
   const Directory& directory_;
-  runtime::Broadcaster& upload_group_;
+  runtime::Delivery out_;
   CollectorBehavior behavior_;
   CollectorStats stats_;
   std::function<bool(ProviderId)> same_shard_;  // empty = single committee
-  std::optional<runtime::ReliableChannel> channel_;
   std::uint64_t forge_seq_ = 1'000'000'000;  // distinct seq space for fabrications
 };
 

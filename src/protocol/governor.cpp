@@ -18,14 +18,14 @@ Governor::Governor(GovernorId id, runtime::NodeContext& ctx, crypto::SigningKey 
       im_(im),
       oracle_(oracle),
       directory_(directory),
-      group_(governor_group),
       config_(config),
       visible_(visible_collectors.begin(), visible_collectors.end()),
+      out_(ctx, governor_group, config.reliable_delivery, config.channel_epoch,
+           [this](const runtime::Message& m) { on_message(m); }),
       table_(config.rep),
       engine_(table_, oracle_, ctx_.rng()),
       argues_(table_, oracle_, metrics_, config.rep.argue_latency_u),
-      stake_consensus_(id, node_, key_, im_, directory_, ctx_.transport(), group_,
-                       std::move(genesis_stake)),
+      stake_consensus_(id, key_, im_, directory_, out_, std::move(genesis_stake)),
       equivocation_(im_, directory_, table_, metrics_),
       intake_(im_, directory_, table_, engine_, assembler_, argues_, equivocation_,
               metrics_, ctx_.timers(), config_, visible_,
@@ -56,44 +56,6 @@ Governor::Governor(GovernorId id, runtime::NodeContext& ctx, crypto::SigningKey 
   intake_.set_evidence([this](adversary::ByzantineKind kind, std::uint64_t offender) {
     emit_byzantine(kind, offender);
   });
-
-  if (config_.reliable_delivery) {
-    channel_.emplace(ctx_, config_.channel_epoch);
-    channel_->set_deliver([this](const runtime::Message& m) { on_message(m); });
-    stake_consensus_.set_reliable(
-        [this](NodeId to, runtime::MsgKind kind, const Bytes& payload) {
-          rsend(to, kind, payload);
-        },
-        [this](runtime::MsgKind kind, const Bytes& payload) {
-          rbroadcast(kind, payload);
-        });
-  }
-}
-
-void Governor::rsend(NodeId to, runtime::MsgKind kind, const Bytes& payload) {
-  if (channel_) {
-    channel_->send(to, kind, payload);
-  } else {
-    ctx_.transport().send(node_, to, kind, payload);
-  }
-}
-
-void Governor::rbroadcast(runtime::MsgKind kind, const Bytes& payload) {
-  if (!channel_) {
-    group_.broadcast(node_, kind, payload);
-    return;
-  }
-  for (const NodeId peer : sync_peers_) channel_->send(peer, kind, payload);
-  // Local loopback: our own copy never crosses the network (the atomic
-  // broadcast group delivers to self; the channel path must too).
-  runtime::Message self;
-  self.from = node_;
-  self.to = node_;
-  self.kind = kind;
-  self.payload = payload;
-  self.sent_at = ctx_.now();
-  self.delivered_at = ctx_.now();
-  on_message(self);
 }
 
 void Governor::emit(runtime::TraceKind kind, std::uint64_t arg0, std::uint64_t arg1) {
@@ -107,11 +69,8 @@ void Governor::emit_byzantine(adversary::ByzantineKind kind, std::uint64_t offen
 }
 
 void Governor::on_message(const runtime::Message& msg) {
+  if (out_.on_message(msg)) return;
   switch (msg.kind) {
-    case runtime::MsgKind::kReliableData:
-    case runtime::MsgKind::kReliableAck:
-      if (channel_) channel_->on_message(msg);
-      return;
     case runtime::MsgKind::kCollectorUpload:
       intake_.on_upload(msg);
       break;
@@ -193,7 +152,7 @@ void Governor::gossip_labels() {
   if (!config_.enable_label_gossip) return;
   auto payload = equivocation_.take_gossip_payload();
   if (!payload) return;
-  rbroadcast(runtime::MsgKind::kLabelGossip, *payload);
+  out_.broadcast(runtime::MsgKind::kLabelGossip, *payload);
 }
 
 void Governor::on_label_gossip(const runtime::Message& msg) {
@@ -241,7 +200,7 @@ void Governor::begin_round(Round round) {
   // channel will never redeliver it. Hold it out of this election until one
   // sync pass confirms (or repairs) its head; head_checked_ limits the
   // hold-down to one round per stall episode.
-  if (channel_ && round > 1 && chain_.height() == round_start_height_ &&
+  if (out_.reliable() && round > 1 && chain_.height() == round_start_height_ &&
       !head_checked_) {
     recovering_ = true;
   }
@@ -270,7 +229,7 @@ void Governor::begin_round(Round round) {
   }
   const VrfAnnounceMsg msg =
       make_announcement(round, id_, stake_consensus_.stake().of(id_), key_);
-  rbroadcast(runtime::MsgKind::kVrfAnnounce, msg.encode());
+  out_.broadcast(runtime::MsgKind::kVrfAnnounce, msg.encode());
 }
 
 void Governor::on_vrf(const runtime::Message& msg) {
@@ -315,10 +274,10 @@ void Governor::on_vrf(const runtime::Message& msg) {
   // the rest elect — and fork behind — somebody else. The proofs are
   // verified against the announcer's enrolled key, so a relay cannot forge,
   // and the first-seen gate stops re-echo storms.
-  if (fresh && channel_ && announce.governor != id_) {
+  if (fresh && out_.reliable() && announce.governor != id_) {
     for (const NodeId peer : sync_peers_) {
       if (peer == *announcer_node || peer == msg.from) continue;
-      channel_->send(peer, runtime::MsgKind::kVrfAnnounce, msg.payload);
+      out_.send(peer, runtime::MsgKind::kVrfAnnounce, msg.payload);
     }
   }
   if (!leader_announced_) {
@@ -339,7 +298,7 @@ std::optional<GovernorId> Governor::round_leader() const {
 // --- Block proposal / adoption -----------------------------------------------
 
 void Governor::close_election() {
-  if (!channel_ || !election_) return;
+  if (!out_.reliable() || !election_) return;
   election_->close(election_->expected() / 2 + 1);
   if (!leader_announced_) {
     if (const auto winner = election_->winner()) {
@@ -382,21 +341,14 @@ void Governor::propose_if_leader() {
     const Bytes enc_a = block.encode();
     const Bytes enc_b = alt.encode();
     for (std::size_t i = 0; i < sync_peers_.size(); ++i) {
-      rsend(sync_peers_[i], runtime::MsgKind::kBlockProposal,
-            i < sync_peers_.size() / 2 ? enc_a : enc_b);
+      out_.send(sync_peers_[i], runtime::MsgKind::kBlockProposal,
+                i < sync_peers_.size() / 2 ? enc_a : enc_b);
     }
     ++metrics_.byzantine_equivocations_sent;
-    runtime::Message self;
-    self.from = node_;
-    self.to = node_;
-    self.kind = runtime::MsgKind::kBlockProposal;
-    self.payload = enc_a;
-    self.sent_at = ctx_.now();
-    self.delivered_at = ctx_.now();
-    on_message(self);
+    out_.deliver_local(runtime::MsgKind::kBlockProposal, enc_a);
     return;
   }
-  rbroadcast(runtime::MsgKind::kBlockProposal, block.encode());
+  out_.broadcast(runtime::MsgKind::kBlockProposal, block.encode());
 }
 
 void Governor::on_block_proposal(const runtime::Message& msg) {
@@ -442,7 +394,7 @@ void Governor::on_block_proposal(const runtime::Message& msg) {
     const NodeId leader_node = directory_.node_of(block.leader);
     for (const NodeId peer : sync_peers_) {
       if (peer == leader_node || peer == msg.from) continue;
-      rsend(peer, runtime::MsgKind::kBlockProposal, msg.payload);
+      out_.send(peer, runtime::MsgKind::kBlockProposal, msg.payload);
     }
     // Hold the proposal for 2*Delta before committing: under the synchrony
     // bound, a conflicting variant's echo reaches us within that window, so
@@ -579,7 +531,7 @@ void Governor::on_block_request(const runtime::Message& msg) {
       resp.block = block->encode();
     }
   }
-  rsend(msg.from, runtime::MsgKind::kBlockResponse, resp.encode());
+  out_.send(msg.from, runtime::MsgKind::kBlockResponse, resp.encode());
 }
 
 // --- Catch-up sync (provider light-client sync, reused node-to-node) ---------
@@ -620,7 +572,7 @@ void Governor::request_block(BlockSerial serial) {
   BlockRequestMsg req;
   req.serial = serial;
   const std::uint64_t nonce = ++sync_nonce_;
-  rsend(peer, runtime::MsgKind::kBlockRequest, req.encode());
+  out_.send(peer, runtime::MsgKind::kBlockRequest, req.encode());
   // A lost request or response must not wedge the sync flag forever: give up
   // on this attempt after a grace window unless a newer request superseded
   // it. Stashed future blocks stay stashed — a later sync (watchdog- or
@@ -1011,14 +963,14 @@ void Governor::recover_from_store() {
   recovery_point_.reset();  // pre-crash capture died with the old life
   // Reliable mode only: default delivery keeps the synchronous-model
   // assumption that the restart sync completes before the next election.
-  recovering_ = channel_.has_value();
+  recovering_ = out_.reliable();
 }
 
 // --- Expulsion ---------------------------------------------------------------
 
 void Governor::broadcast_expel(GovernorId accused, Bytes evidence) {
   const ExpelMsg msg = make_expel(round_, id_, accused, std::move(evidence), key_);
-  rbroadcast(runtime::MsgKind::kExpelEvidence, msg.encode());
+  out_.broadcast(runtime::MsgKind::kExpelEvidence, msg.encode());
 }
 
 void Governor::on_expel(const runtime::Message& msg) {

@@ -24,8 +24,8 @@
 #include "protocol/screening_intake.hpp"
 #include "protocol/stake_consensus.hpp"
 #include "runtime/broadcaster.hpp"
+#include "runtime/delivery.hpp"
 #include "runtime/node_context.hpp"
-#include "runtime/reliable_channel.hpp"
 #include "storage/node_state_store.hpp"
 
 namespace repchain::protocol {
@@ -193,7 +193,7 @@ class Governor {
   }
   /// The reliable channel, or nullptr when config.reliable_delivery is off.
   [[nodiscard]] const runtime::ReliableChannel* channel() const {
-    return channel_ ? &*channel_ : nullptr;
+    return out_.channel();
   }
   /// Watchdog surfacing for free-running observers: the round the governor
   /// is currently in and how many consecutive rounds ended without a commit.
@@ -201,11 +201,9 @@ class Governor {
   [[nodiscard]] std::size_t stalled_rounds() const { return stalled_rounds_; }
 
   /// Transport reconnect notification: refresh the reliable channel's retry
-  /// budget for `peer` (no-op without a channel). Wire this to
+  /// budget for `peer` (no-op in atomic mode). Wire this to
   /// TcpTransport::set_reconnect_hook on live deployments.
-  void on_peer_reconnected(NodeId peer) {
-    if (channel_) channel_->on_peer_reconnect(peer);
-  }
+  void on_peer_reconnected(NodeId peer) { out_.on_peer_reconnect(peer); }
 
  private:
   void on_argue(const runtime::Message& msg);
@@ -225,14 +223,6 @@ class Governor {
   /// Emit a kByzantineEvidence trace (and count it in the metrics).
   void emit_byzantine(adversary::ByzantineKind kind, std::uint64_t offender);
 
-  /// Unicast through the reliable channel when one is configured, else the
-  /// bare transport.
-  void rsend(NodeId to, runtime::MsgKind kind, const Bytes& payload);
-  /// Governor-group broadcast: the atomic broadcast group by default; in
-  /// reliable mode, per-peer channel sends plus a synchronous local loopback
-  /// (the channel guarantees delivery, not total order — every reliable-mode
-  /// receive path is order-tolerant).
-  void rbroadcast(runtime::MsgKind kind, const Bytes& payload);
   /// Reliable-mode degraded election closure (majority quorum) at propose
   /// time; no-op otherwise.
   void close_election();
@@ -280,9 +270,10 @@ class Governor {
   const identity::IdentityManager& im_;
   ledger::ValidationOracle& oracle_;
   const Directory& directory_;
-  runtime::Broadcaster& group_;
   GovernorConfig config_;
   std::set<CollectorId> visible_;  // empty = all
+  // Every send: the governor group (atomic) or per-peer channels (reliable).
+  runtime::Delivery out_;
 
   reputation::ReputationTable table_;
   GovernorMetrics metrics_;
@@ -306,9 +297,6 @@ class Governor {
   // that crashed past the original expel broadcast re-learn the expulsion.
   std::map<GovernorId, Bytes> expel_evidence_;
   Round expel_reshare_round_ = 0;
-
-  // Reliable delivery (config.reliable_delivery).
-  std::optional<runtime::ReliableChannel> channel_;
 
   // Liveness watchdog (config.watchdog_rounds).
   std::size_t stalled_rounds_ = 0;

@@ -17,20 +17,9 @@ Provider::Provider(ProviderId id, runtime::NodeContext& ctx, crypto::SigningKey 
       directory_(directory),
       active_(active),
       collector_group_(ctx.transport(), directory.collector_nodes_of(id)),
-      governor_nodes_(directory.governor_nodes()) {
-  if (reliable_delivery) {
-    channel_.emplace(ctx_, /*epoch=*/0);
-    channel_->set_deliver([this](const runtime::Message& m) { on_message(m); });
-  }
-}
-
-void Provider::rsend(NodeId to, runtime::MsgKind kind, const Bytes& payload) {
-  if (channel_) {
-    channel_->send(to, kind, payload);
-  } else {
-    ctx_.transport().send(node_, to, kind, payload);
-  }
-}
+      out_(ctx, collector_group_, reliable_delivery, /*epoch=*/0,
+           [this](const runtime::Message& m) { on_message(m); }),
+      governor_nodes_(directory.governor_nodes()) {}
 
 const ledger::Transaction& Provider::submit(Bytes payload, bool truly_valid) {
   const ledger::Transaction tx = ledger::make_transaction(
@@ -61,22 +50,14 @@ const ledger::Transaction& Provider::submit(Bytes payload, bool truly_valid) {
     const Bytes enc_b = twin.encode();
     const std::size_t first_half = collectors.size() / 2 + collectors.size() % 2;
     for (std::size_t i = 0; i < collectors.size(); ++i) {
-      rsend(collectors[i], runtime::MsgKind::kProviderTx,
-            i < first_half ? enc_a : enc_b);
+      out_.send(collectors[i], runtime::MsgKind::kProviderTx,
+                i < first_half ? enc_a : enc_b);
     }
     return it->second.tx;
   }
 
-  // broadcast_provider(tx): atomic broadcast to the r linked collectors — or
-  // per-collector reliable sends in reliable mode.
-  if (channel_) {
-    const Bytes payload = tx.encode();
-    for (const NodeId c : directory_.collector_nodes_of(id_)) {
-      channel_->send(c, runtime::MsgKind::kProviderTx, payload);
-    }
-  } else {
-    collector_group_.broadcast(node_, runtime::MsgKind::kProviderTx, tx.encode());
-  }
+  // broadcast_provider(tx) to the r linked collectors.
+  out_.broadcast(runtime::MsgKind::kProviderTx, tx.encode());
   return it->second.tx;
 }
 
@@ -87,7 +68,7 @@ const ledger::Transaction& Provider::submit_to(NodeId collector, Bytes payload,
   const ledger::TxId tx_id = tx.id();
   oracle_.register_tx(tx_id, truly_valid);
   auto [it, inserted] = own_.emplace(tx_id, OwnTx{tx, truly_valid, false, false});
-  rsend(collector, runtime::MsgKind::kProviderTx, it->second.tx.encode());
+  out_.send(collector, runtime::MsgKind::kProviderTx, it->second.tx.encode());
   return it->second.tx;
 }
 
@@ -103,7 +84,7 @@ void Provider::request_block(BlockSerial serial) {
   BlockRequestMsg req;
   req.serial = serial;
   const std::uint64_t nonce = ++sync_nonce_;
-  rsend(gov, runtime::MsgKind::kBlockRequest, req.encode());
+  out_.send(gov, runtime::MsgKind::kBlockRequest, req.encode());
   // A lost request or response must not wedge the sync flag until the next
   // round's sync() re-arm: give up on this attempt after a grace window
   // unless a newer request superseded it.
@@ -121,11 +102,7 @@ void Provider::sync() {
 }
 
 void Provider::on_message(const runtime::Message& msg) {
-  if (msg.kind == runtime::MsgKind::kReliableData ||
-      msg.kind == runtime::MsgKind::kReliableAck) {
-    if (channel_) channel_->on_message(msg);
-    return;
-  }
+  if (out_.on_message(msg)) return;
   if (msg.kind != runtime::MsgKind::kBlockResponse) return;
   BlockResponseMsg resp;
   try {
@@ -196,15 +173,7 @@ void Provider::on_block(const ledger::Block& block) {
       own.argued = true;
       ++argued_;
       const ArgueMsg msg = make_argue(id_, own.tx, block.serial, key_);
-      if (channel_) {
-        const Bytes payload = msg.encode();
-        for (const NodeId gov : governor_nodes_) {
-          channel_->send(gov, runtime::MsgKind::kArgue, payload);
-        }
-      } else {
-        ctx_.transport().multicast(node_, governor_nodes_, runtime::MsgKind::kArgue,
-                                   msg.encode());
-      }
+      out_.multicast(governor_nodes_, runtime::MsgKind::kArgue, msg.encode());
     }
   }
 }

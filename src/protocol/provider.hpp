@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 
 #include "crypto/ed25519.hpp"
@@ -12,8 +11,8 @@
 #include "protocol/messages.hpp"
 #include "protocol/round_timing.hpp"
 #include "runtime/atomic_broadcast.hpp"
+#include "runtime/delivery.hpp"
 #include "runtime/node_context.hpp"
-#include "runtime/reliable_channel.hpp"
 
 namespace repchain::protocol {
 
@@ -24,9 +23,8 @@ namespace repchain::protocol {
 /// Validity).
 class Provider {
  public:
-  /// `reliable_delivery` routes submissions, block requests and argues
-  /// through a per-node ReliableChannel (ack + retransmit) instead of the
-  /// bare transport / collector broadcast group.
+  /// `reliable_delivery` selects the node's runtime::Delivery mode for its
+  /// submissions, block requests and argues.
   Provider(ProviderId id, runtime::NodeContext& ctx, crypto::SigningKey key,
            const identity::IdentityManager& im, ledger::ValidationOracle& oracle,
            const Directory& directory, bool active, bool reliable_delivery = false);
@@ -85,14 +83,11 @@ class Provider {
   [[nodiscard]] std::uint64_t confirmed_valid() const { return confirmed_valid_; }
 
   /// Transport reconnect notification: refresh the reliable channel's retry
-  /// budget for `peer` (no-op without a channel).
-  void on_peer_reconnected(NodeId peer) {
-    if (channel_) channel_->on_peer_reconnect(peer);
-  }
+  /// budget for `peer` (no-op in atomic mode).
+  void on_peer_reconnected(NodeId peer) { out_.on_peer_reconnect(peer); }
 
  private:
   void request_block(BlockSerial serial);
-  void rsend(NodeId to, runtime::MsgKind kind, const Bytes& payload);
 
   ProviderId id_;
   runtime::NodeContext& ctx_;
@@ -104,9 +99,8 @@ class Provider {
   bool active_;
 
   runtime::AtomicBroadcastGroup collector_group_;
+  runtime::Delivery out_;  // after collector_group_, which it broadcasts to
   std::vector<NodeId> governor_nodes_;
-
-  std::optional<runtime::ReliableChannel> channel_;
 
   ledger::ChainStore chain_;
   bool sync_in_flight_ = false;

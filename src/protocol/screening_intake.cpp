@@ -212,7 +212,7 @@ void ScreeningIntake::screen(const ledger::TxId& id) {
     case ScreeningKind::kDiscardedInvalid:
       break;  // checked invalid: never enters a block
     case ScreeningKind::kRecordedUnchecked: {
-      argues_.record_unchecked(agg.tx, agg.reports);
+      argues_.record_unchecked(agg.tx, id, std::move(agg.reports));
       PendingRecord& pending = screen_batch_.emplace_back();
       pending.record.tx = std::move(agg.tx);
       pending.record.label = Label::kInvalid;

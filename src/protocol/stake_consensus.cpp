@@ -8,7 +8,7 @@ namespace repchain::protocol {
 
 void StakeConsensus::submit_transfer(GovernorId to, std::uint64_t amount) {
   const StakeTxMsg msg = make_stake_tx(self_, to, amount, next_seq_++, key_);
-  bcast(runtime::MsgKind::kStakeTx, msg.encode());
+  out_.broadcast(runtime::MsgKind::kStakeTx, msg.encode());
 }
 
 void StakeConsensus::on_stake_tx(StakeTxMsg stx) {
@@ -24,18 +24,14 @@ StakeLedger StakeConsensus::expected_state() const {
   std::vector<const StakeTxMsg*> ordered;
   ordered.reserve(round_stake_txs_.size());
   for (const auto& stx : round_stake_txs_) ordered.push_back(&stx);
-  if (broadcast_) {
-    // Reliable mode: the channel does not preserve cross-sender order, so
-    // arrival order can differ between governors. Apply the transfers in a
-    // canonical (sender, sequence) order instead so every governor derives
-    // the same NEW_STATE. With the atomic broadcast the arrival order is
-    // already identical everywhere and stays authoritative.
-    std::sort(ordered.begin(), ordered.end(),
-              [](const StakeTxMsg* a, const StakeTxMsg* b) {
-                if (a->from != b->from) return a->from < b->from;
-                return a->seq < b->seq;
-              });
-  }
+  // Canonical (sender, sequence) order, not arrival order: the reliable
+  // channel does not preserve cross-sender order, and a transfer that
+  // overdraws unless another sender's lands first must resolve the same way
+  // on every governor.
+  std::ranges::sort(ordered, [](const StakeTxMsg* a, const StakeTxMsg* b) {
+    if (a->from != b->from) return a->from < b->from;
+    return a->seq < b->seq;
+  });
   for (const StakeTxMsg* stx : ordered) {
     try {
       state.transfer(stx->from, stx->to, stx->amount);
@@ -74,7 +70,7 @@ void StakeConsensus::run_as_leader(Round round) {
   sig_senders_.insert(self_);
   collected_sigs_.push_back(own);
 
-  bcast(runtime::MsgKind::kStateProposal, proposal.encode());
+  out_.broadcast(runtime::MsgKind::kStateProposal, proposal.encode());
 }
 
 std::optional<Bytes> StakeConsensus::on_proposal(const StateProposalMsg& proposal,
@@ -104,8 +100,8 @@ std::optional<Bytes> StakeConsensus::on_proposal(const StateProposalMsg& proposa
   sig.round = proposal.round;
   sig.signer = self_;
   sig.sig = key_.sign(proposal.signed_preimage());
-  unicast(directory_.node_of(proposal.leader), runtime::MsgKind::kStateSignature,
-          sig.encode());
+  out_.send(directory_.node_of(proposal.leader), runtime::MsgKind::kStateSignature,
+            sig.encode());
   return std::nullopt;
 }
 
@@ -132,7 +128,7 @@ void StakeConsensus::on_signature(const StateSignatureMsg& sig, Round round,
     commit.leader = self_;
     commit.state = current_proposal_->state;
     commit.signatures = collected_sigs_;
-    bcast(runtime::MsgKind::kStateCommit, commit.encode());
+    out_.broadcast(runtime::MsgKind::kStateCommit, commit.encode());
   }
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -11,33 +10,34 @@
 #include "protocol/directory.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/stake.hpp"
-#include "runtime/broadcaster.hpp"
-#include "runtime/transport.hpp"
+#include "runtime/delivery.hpp"
 
 namespace repchain::protocol {
 
 /// The governor's stake ledger plus the 3-step stake consensus of §3.4.3:
-/// transfers are atomically broadcast with per-sender sequence numbers
-/// (replay protection), the round leader proposes the NEW_STATE derived from
-/// them, every governor checks the derivation and signs, and the leader
-/// commits once all non-expelled governors signed. A conflicting proposal is
+/// transfers are broadcast with per-sender sequence numbers (replay
+/// protection), the round leader proposes the NEW_STATE derived from them,
+/// every governor checks the derivation and signs, and the leader commits
+/// once all non-expelled governors signed. A conflicting proposal is
 /// returned to the caller as expel evidence.
 ///
 /// The facade authenticates senders before calling in; the round/leader view
 /// is passed per call so the state machine is unit-testable round by round.
+/// Every send goes through the governor's runtime::Delivery, whichever
+/// primitive it runs on.
 class StakeConsensus {
  public:
-  StakeConsensus(GovernorId self, NodeId node, const crypto::SigningKey& key,
+  StakeConsensus(GovernorId self, const crypto::SigningKey& key,
                  const identity::IdentityManager& im, const Directory& directory,
-                 runtime::Transport& transport, runtime::Broadcaster& group,
-                 StakeLedger genesis)
-      : self_(self), node_(node), key_(key), im_(im), directory_(directory),
-        transport_(transport), group_(group), stake_(std::move(genesis)) {}
+                 runtime::Delivery& out, StakeLedger genesis)
+      : self_(self), key_(key), im_(im), directory_(directory), out_(out),
+        stake_(std::move(genesis)) {}
 
   /// Queue a stake transfer (broadcast to all governors, §3.4.3).
   void submit_transfer(GovernorId to, std::uint64_t amount);
 
-  /// An authenticated transfer arrived through the atomic broadcast.
+  /// An authenticated transfer arrived (in any order relative to other
+  /// senders' transfers; see expected_state()).
   void on_stake_tx(StakeTxMsg stx);
 
   /// Leader entry point: propose the NEW_STATE over this round's transfers
@@ -67,7 +67,11 @@ class StakeConsensus {
   [[nodiscard]] bool matches_expected(const StateProposalMsg& proposal,
                                       Round round) const;
 
-  /// The state the broadcast transfers derive from the current ledger.
+  /// The state the received transfers derive from the current ledger,
+  /// applied in canonical (sender, sequence) order: every governor that
+  /// received the same transfers derives the same state, whatever order they
+  /// arrived in. That order equals atomic-broadcast arrival order whenever a
+  /// round's transfers are submitted in sender order.
   [[nodiscard]] StakeLedger expected_state() const;
 
   [[nodiscard]] const StakeLedger& stake() const { return stake_; }
@@ -81,39 +85,12 @@ class StakeConsensus {
   /// Restore path: install a checkpointed ledger.
   void restore_stake(StakeLedger stake) { stake_ = std::move(stake); }
 
-  /// Reliable-delivery mode: route this unit's sends through the facade's
-  /// ReliableChannel instead of the bare transport / broadcast group. The
-  /// broadcast hook must also loop the message back to the local facade.
-  using SendFn = std::function<void(NodeId, runtime::MsgKind, const Bytes&)>;
-  using BroadcastFn = std::function<void(runtime::MsgKind, const Bytes&)>;
-  void set_reliable(SendFn send, BroadcastFn broadcast) {
-    send_ = std::move(send);
-    broadcast_ = std::move(broadcast);
-  }
-
  private:
-  void bcast(runtime::MsgKind kind, const Bytes& payload) {
-    if (broadcast_) {
-      broadcast_(kind, payload);
-    } else {
-      group_.broadcast(node_, kind, payload);
-    }
-  }
-  void unicast(NodeId to, runtime::MsgKind kind, const Bytes& payload) {
-    if (send_) {
-      send_(to, kind, payload);
-    } else {
-      transport_.send(node_, to, kind, payload);
-    }
-  }
-
   GovernorId self_;
-  NodeId node_;
   const crypto::SigningKey& key_;
   const identity::IdentityManager& im_;
   const Directory& directory_;
-  runtime::Transport& transport_;
-  runtime::Broadcaster& group_;
+  runtime::Delivery& out_;
 
   StakeLedger stake_;
   std::uint64_t next_seq_ = 0;
@@ -133,8 +110,6 @@ class StakeConsensus {
   std::set<GovernorId> sig_senders_;
   Round last_commit_round_ = 0;  // duplicate-commit guard (idempotent receive)
   bool cheat_ = false;
-  SendFn send_;
-  BroadcastFn broadcast_;
 };
 
 }  // namespace repchain::protocol

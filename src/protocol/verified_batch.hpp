@@ -14,9 +14,10 @@ namespace repchain::protocol {
 /// A batch of signature checks accumulated by an ingestion front-end and
 /// settled in one crypto::verify_batch call.
 ///
-/// Front-ends (ScreeningIntake's upload flush, EquivocationDetector's gossip
-/// ingestion, StakeConsensus quorum checks) run their non-cryptographic
-/// gates per item first — enrollment, role, revocation, link structure — via
+/// ScreeningIntake's upload flush is the one front-end. (Label gossip
+/// authenticates only a conflicting label, and StakeConsensus verifies its
+/// quorum signatures one at a time.) It runs the non-cryptographic gates
+/// per item first — enrollment, role, revocation, link structure — via
 /// IdentityManager::verification_key. Items that fail a gate, or that hit a
 /// verified-signature memo, enter the batch pre-decided; the rest carry a
 /// (key, message, sig) triple and are settled together: one random-linear-

@@ -16,6 +16,8 @@
 #include "protocol/round_timing.hpp"
 #include "protocol/stake_consensus.hpp"
 #include "runtime/atomic_broadcast.hpp"
+#include "runtime/delivery.hpp"
+#include "runtime/node_context.hpp"
 
 namespace repchain::protocol {
 namespace {
@@ -124,7 +126,7 @@ struct ArgueFixture : ::testing::Test {
 
 TEST_F(ArgueFixture, ArgueOnTrulyValidTxYieldsArguedRecord) {
   const auto tx = make_tx(1, true);
-  argues.record_unchecked(tx, reports());
+  argues.record_unchecked(tx, tx.id(), reports());
   EXPECT_TRUE(argues.known(tx.id()));
   EXPECT_EQ(argues.unrevealed().size(), 1u);
 
@@ -140,7 +142,7 @@ TEST_F(ArgueFixture, ArgueOnTrulyValidTxYieldsArguedRecord) {
 
 TEST_F(ArgueFixture, ArgueOnTrulyInvalidTxRevealsButAppendsNothing) {
   const auto tx = make_tx(1, false);
-  argues.record_unchecked(tx, reports());
+  argues.record_unchecked(tx, tx.id(), reports());
   const auto rec = argues.handle_argue(make_argue(ProviderId(0), tx, 1, key));
   EXPECT_FALSE(rec.has_value());
   EXPECT_EQ(metrics.argues_accepted, 1u);
@@ -150,10 +152,11 @@ TEST_F(ArgueFixture, ArgueOnTrulyInvalidTxRevealsButAppendsNothing) {
 
 TEST_F(ArgueFixture, ArgueBuriedDeeperThanUIsRejectedLate) {
   const auto tx = make_tx(1, true);
-  argues.record_unchecked(tx, reports());
+  argues.record_unchecked(tx, tx.id(), reports());
   // Bury beyond U = 2 with newer unchecked txs from the same provider.
   for (std::uint64_t s = 2; s <= 4; ++s) {
-    argues.record_unchecked(make_tx(s, false), reports());
+    const auto newer = make_tx(s, false);
+    argues.record_unchecked(newer, newer.id(), reports());
   }
   const auto rec = argues.handle_argue(make_argue(ProviderId(0), tx, 1, key));
   EXPECT_FALSE(rec.has_value());
@@ -163,7 +166,7 @@ TEST_F(ArgueFixture, ArgueBuriedDeeperThanUIsRejectedLate) {
 
 TEST_F(ArgueFixture, RevealIsIdempotentAndBlocksLaterArgues) {
   const auto tx = make_tx(1, true);
-  argues.record_unchecked(tx, reports());
+  argues.record_unchecked(tx, tx.id(), reports());
   EXPECT_TRUE(argues.reveal(tx.id()));
   EXPECT_FALSE(argues.reveal(tx.id()));
   EXPECT_EQ(metrics.mistakes, 1u);
@@ -174,7 +177,7 @@ TEST_F(ArgueFixture, RevealIsIdempotentAndBlocksLaterArgues) {
 
 TEST_F(ArgueFixture, ResetTransientDropsSnapshotsAndArgueWindow) {
   const auto tx = make_tx(1, true);
-  argues.record_unchecked(tx, reports());
+  argues.record_unchecked(tx, tx.id(), reports());
   argues.reset_transient();
   EXPECT_FALSE(argues.known(tx.id()));
   EXPECT_TRUE(argues.unrevealed().empty());
@@ -188,9 +191,9 @@ TEST_F(ArgueFixture, RestoreEntriesReopensArgueWindowsInScreeningOrder) {
   const auto tx1 = make_tx(1, true);
   const auto tx2 = make_tx(2, false);
   const auto tx3 = make_tx(3, true);
-  argues.record_unchecked(tx1, reports());
-  argues.record_unchecked(tx2, reports());
-  argues.record_unchecked(tx3, reports());
+  argues.record_unchecked(tx1, tx1.id(), reports());
+  argues.record_unchecked(tx2, tx2.id(), reports());
+  argues.record_unchecked(tx3, tx3.id(), reports());
   EXPECT_TRUE(argues.reveal(tx2.id()));
 
   // Round-trip through the checkpoint representation: copy the entries out
@@ -225,8 +228,16 @@ struct StakeFixture : ::testing::Test {
     genesis.set(GovernorId(1), 1);
     group = std::make_unique<runtime::AtomicBroadcastGroup>(
         net, std::vector<NodeId>{n0});
-    sc = std::make_unique<StakeConsensus>(GovernorId(0), n0, key, im, directory,
-                                          net, *group, genesis);
+    ctx = std::make_unique<runtime::NodeContext>(n0, net, Rng(33));
+    out = std::make_unique<runtime::Delivery>(*ctx, *group, /*reliable=*/false,
+                                              /*epoch=*/0,
+                                              [](const runtime::Message&) {});
+    sc = make_consensus();
+  }
+
+  std::unique_ptr<StakeConsensus> make_consensus() {
+    return std::make_unique<StakeConsensus>(GovernorId(0), key, im, directory, *out,
+                                            genesis);
   }
 
   Rng rng{31};
@@ -238,6 +249,8 @@ struct StakeFixture : ::testing::Test {
   crypto::SigningKey key{crypto::random_seed(rng)};
   StakeLedger genesis;
   std::unique_ptr<runtime::AtomicBroadcastGroup> group;
+  std::unique_ptr<runtime::NodeContext> ctx;
+  std::unique_ptr<runtime::Delivery> out;
   std::unique_ptr<StakeConsensus> sc;
 };
 
@@ -256,6 +269,22 @@ TEST_F(StakeFixture, ReplayedTransferIsIgnored) {
   sc->on_stake_tx(stx);
   sc->on_stake_tx(stx);  // same sender sequence: replay
   EXPECT_EQ(sc->expected_state().of(GovernorId(1)), 3u);
+}
+
+TEST_F(StakeFixture, ArrivalOrderDoesNotChangeTheDerivedState) {
+  // Governor 1 holds 1 unit: its transfer of 3 overdraws unless governor
+  // 0's transfer of 4 is applied first. Two governors receiving the pair in
+  // opposite orders must still derive the same NEW_STATE.
+  const StakeTxMsg pay = make_stake_tx(GovernorId(0), GovernorId(1), 4, 0, key);
+  const StakeTxMsg repay = make_stake_tx(GovernorId(1), GovernorId(0), 3, 0, key);
+  const auto reversed = make_consensus();
+  sc->on_stake_tx(pay);
+  sc->on_stake_tx(repay);
+  reversed->on_stake_tx(repay);
+  reversed->on_stake_tx(pay);
+  EXPECT_EQ(sc->expected_state(), reversed->expected_state());
+  EXPECT_EQ(reversed->expected_state().of(GovernorId(0)), 4u);
+  EXPECT_EQ(reversed->expected_state().of(GovernorId(1)), 2u);
 }
 
 TEST_F(StakeFixture, MatchesExpectedChecksRoundAndState) {
