@@ -14,11 +14,12 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "cluster/free_run.hpp"
 #include "cluster/local_cluster.hpp"
-#include "sim/harness/spec_codec.hpp"
 #include "sim/scenario.hpp"
 
 namespace {
@@ -134,20 +135,19 @@ void file_backed(bench::JsonReport& json) {
 
 /// One supervised free-running cluster run over loopback processes: every
 /// node self-drives rounds on real clocks over the peer mesh while the
-/// observer executes `plans` (SIGKILL, respawn from the node's persisted
-/// state directory). Returns the contract report and the run's wall time.
+/// observer executes the config's crash schedule (SIGKILL, respawn from the
+/// node's persisted state directory). Returns the contract report and the
+/// run's wall time.
 struct FreeRun {
   cluster::FreeRunReport report;
   double wall_ms = 0.0;
 };
 
 FreeRun run_free(const std::filesystem::path& node_bin,
-                 const sim::ScenarioConfig& cfg,
-                 const std::vector<cluster::CrashPlan>& plans,
-                 std::uint16_t peer_base) {
+                 const sim::ScenarioConfig& cfg, std::uint16_t peer_base) {
   cluster::LocalCluster nodes(cfg, {.node_bin = node_bin.string(),
                                     .peer_base = peer_base});
-  cluster::FreeRunDriver driver(cfg, nodes, plans, /*grace_rounds=*/6);
+  cluster::FreeRunDriver driver(cfg, nodes, /*grace_rounds=*/6);
   FreeRun run;
   const auto t0 = std::chrono::steady_clock::now();
   run.report = driver.run();
@@ -157,13 +157,14 @@ FreeRun run_free(const std::filesystem::path& node_bin,
   return run;
 }
 
-/// The free-running variant of base_config: the node processes persist
-/// themselves, so the in-process durability switch stays off.
-sim::ScenarioConfig free_config(std::size_t rounds) {
+/// The free-running variant of base_config, killing per `kills` (each
+/// victim as its crash round's collecting phase opens): the node processes
+/// persist themselves, so the in-process durability switch stays off.
+sim::ScenarioConfig free_config(std::size_t rounds,
+                                std::vector<sim::CrashPlan> kills) {
   sim::ScenarioConfig cfg = cluster::free_run_config(base_config(rounds, 2));
   cfg.durable_governors = false;
-  sim::normalize_config(cfg);
-  return cfg;
+  return cluster::with_kills(std::move(cfg), std::move(kills));
 }
 
 /// Live-cluster restart cost: one process per governor over loopback TCP,
@@ -178,9 +179,10 @@ void cluster_restart(bench::JsonReport& json,
                "attempts", "wall_ms"});
   table.print_header();
   for (std::size_t rounds : {std::size_t{6}, std::size_t{10}}) {
-    const sim::ScenarioConfig cfg = free_config(rounds);
-    const cluster::CrashPlan plan{0, 2, rounds / 2 + 1};
-    const FreeRun run = run_free(node_bin, cfg, {plan}, peer_base);
+    const sim::ScenarioConfig cfg = free_config(
+        rounds, {{.governor = 0, .crash_round = 2, .restart_round = rounds / 2 + 1}});
+    const sim::CrashPlan& plan = cfg.crashes.front();
+    const FreeRun run = run_free(node_bin, cfg, peer_base);
     peer_base = static_cast<std::uint16_t>(peer_base + 64);
     const cluster::FreeRunReport& r = run.report;
 
@@ -188,13 +190,13 @@ void cluster_restart(bench::JsonReport& json,
                              static_cast<double>(kMillisecond);
     const std::uint64_t rounds_to_converge =
         r.converged ? r.converged_round - plan.restart_round + 1 : 0;
-    table.row({std::to_string(rounds), std::to_string(plan.kill_round),
+    table.row({std::to_string(rounds), std::to_string(plan.crash_round),
                std::to_string(plan.restart_round), fmt(rejoin_ms, 1),
                std::to_string(rounds_to_converge),
                std::to_string(r.restart_attempts), fmt(run.wall_ms, 1)});
     json.row("cluster_restart",
              {{"rounds", bench::ju(rounds)},
-              {"kill_round", bench::ju(plan.kill_round)},
+              {"kill_round", bench::ju(plan.crash_round)},
               {"restart_round", bench::ju(plan.restart_round)},
               {"converged", r.converged ? "true" : "false"},
               {"contract_ok", r.ok() ? "true" : "false"},
@@ -217,24 +219,25 @@ void free_run_multi_crash(bench::JsonReport& json,
   bench::section("free-running cluster, overlapping crash schedules");
   struct Series {
     const char* name;
-    std::vector<cluster::CrashPlan> plans;
+    std::vector<sim::CrashPlan> plans;
   };
+  const sim::CrashPlan one{.governor = 1, .crash_round = 2, .restart_round = 4};
+  const sim::CrashPlan two{.governor = 2, .crash_round = 2, .restart_round = 3};
   const std::vector<Series> series = {
-      {"single_crash", {cluster::CrashPlan{1, 2, 4}}},
+      {"single_crash", {one}},
       // Victims 1 and 2 overlap in round 2: 1 of 3 alive < quorum 2.
-      {"quorum_breaking", {cluster::CrashPlan{1, 2, 4},
-                           cluster::CrashPlan{2, 2, 3}}},
+      {"quorum_breaking", {one, two}},
   };
 
   Table table({"schedule", "min_live", "quorum_lost", "stalls", "stall_ms",
                "recover_rounds", "attempts", "wall_ms"});
   table.print_header();
   for (const Series& sr : series) {
-    const sim::ScenarioConfig cfg = free_config(6);
+    const sim::ScenarioConfig cfg = free_config(6, sr.plans);
     const std::size_t governors = cfg.topology.governors;
     const std::size_t min_live =
-        cluster::min_live_governors(sr.plans, governors, cfg.rounds);
-    const FreeRun run = run_free(node_bin, cfg, sr.plans, peer_base);
+        cluster::min_live_governors(cfg.crashes, governors, cfg.rounds);
+    const FreeRun run = run_free(node_bin, cfg, peer_base);
     peer_base = static_cast<std::uint16_t>(peer_base + 64);
     const cluster::FreeRunReport& r = run.report;
 

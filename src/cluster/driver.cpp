@@ -31,6 +31,10 @@ RemoteGovernors::~RemoteGovernors() = default;
 
 void RemoteGovernors::bind(sim::Wiring& wiring) {
   sim::require_cluster_runnable(wiring.config_);
+  if (!wiring.config_.crashes.empty()) {
+    throw ConfigError("lockstep cluster cannot run a crash schedule (crash "
+                      "plans run on the free-running cluster)");
+  }
   const std::size_t governors = wiring.config_.topology.governors;
   if (conns_.size() != governors) {
     throw ConfigError("cluster driver: " + std::to_string(conns_.size()) +

@@ -38,8 +38,9 @@ class RemoteGovernors final : public sim::GovernorLink {
   explicit RemoteGovernors(std::vector<std::unique_ptr<SyncConn>> conns);
   ~RemoteGovernors() override;
 
-  /// Throws ConfigError unless the run is cluster-runnable with one
-  /// connection per governor; forwards ground truth to the nodes from here on.
+  /// Throws ConfigError unless the run is cluster-runnable, schedules no
+  /// crash and has one connection per governor; forwards ground truth to the
+  /// nodes from here on.
   void bind(sim::Wiring& wiring) override;
   void deliver(std::size_t i, const runtime::Message& msg) override;
   void arm_round(std::size_t i, Round round, SimTime t0) override;

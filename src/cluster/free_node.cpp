@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "cluster/free_run.hpp"
+#include "cluster/node_host.hpp"
+#include "cluster/packets.hpp"
 #include "common/errors.hpp"
 #include "sim/harness/spec_codec.hpp"
 #include "storage/file_state_store.hpp"
@@ -32,19 +34,14 @@ void NoBroadcaster::broadcast(NodeId, runtime::MsgKind, const Bytes&) {
       "(per-peer channel) paths may run here");
 }
 
-void TraceCounters::on_event(const runtime::TraceEvent& ev) {
+void DegradationLog::on_event(const runtime::TraceEvent& ev) {
   switch (ev.kind) {
-    case runtime::TraceKind::kRoundStarted:
-      ++rounds_started;
-      return;
     case runtime::TraceKind::kRoundStalled:
-      ++stalled_events;
       std::fprintf(stderr, "free-node: round %llu stalled (%llu consecutive)\n",
                    static_cast<unsigned long long>(ev.round),
                    static_cast<unsigned long long>(ev.arg0));
       return;
     case runtime::TraceKind::kDeliveryFailed:
-      ++delivery_failures;
       std::fprintf(stderr,
                    "free-node: reliable delivery exhausted (peer key %llu)\n",
                    static_cast<unsigned long long>(ev.arg0));
@@ -68,7 +65,7 @@ FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_inde
       oracle_(config_.validation_cost),
       ctx_(model_.directory.node_of(GovernorId(static_cast<std::uint32_t>(index_))),
            transport_, Rng(config_.seed).derive(sim::salt::governor(index_)),
-           &counters_) {
+           &log_) {
   const GovernorId id(static_cast<std::uint32_t>(index_));
   protocol::GovernorConfig gc = config_.governor;
   gc.channel_epoch = incarnation_;
@@ -81,8 +78,10 @@ FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_inde
     // catch-up sync itself starts when the driver's kFreeStart arrives.
     governor_->recover_from_store();
   }
-  if (incarnation_ > 0) transport_.set_resume(incarnation_, head().serial);
-  transport_.set_trace_sink(&counters_);
+  if (incarnation_ > 0) {
+    transport_.set_resume(incarnation_, governor_->chain().height());
+  }
+  transport_.set_trace_sink(&log_);
   // A healed link refreshes the retry budget of every in-flight envelope
   // addressed to the returning peer — without this, a crash window longer
   // than the backoff ladder burns budget against a dead socket.
@@ -104,32 +103,8 @@ FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_inde
 
 FreeNodeHost::~FreeNodeHost() = default;
 
-HeadInfo FreeNodeHost::head() const {
-  HeadInfo h;
-  h.incarnation = incarnation_;
-  const ledger::ChainStore& chain = governor_->chain();
-  if (chain.empty()) return h;
-  h.serial = chain.head().serial;
-  h.hash = chain.head_hash();
-  for (const ledger::Block& b : chain.blocks()) h.committed_txs += b.txs.size();
-  return h;
-}
-
-FreeRunStats FreeNodeHost::stats() const {
-  FreeRunStats s;
-  s.head = head();
-  s.current_round = governor_->current_round();
-  s.rounds_started = counters_.rounds_started;
-  s.stalled_events = counters_.stalled_events;
-  s.watchdog_trips = governor_->metrics().watchdog_trips;
-  s.delivery_failures = counters_.delivery_failures;
-  s.reconnects = transport_.stats().reconnects;
-  s.blocks_accepted = governor_->metrics().blocks_accepted;
-  s.blocks_synced = governor_->metrics().blocks_synced;
-  return s;
-}
-
 void FreeNodeHost::handle_control(SyncConn& conn, const wire::Frame& frame) {
+  if (serve_read(conn, frame, *governor_, oracle_.validations())) return;
   switch (static_cast<ClusterPacket>(frame.type)) {
     case ClusterPacket::kRegisterTx: {
       // Acknowledged, unlike lockstep: mesh traffic does not share this
@@ -158,21 +133,6 @@ void FreeNodeHost::handle_control(SyncConn& conn, const wire::Frame& frame) {
                               model_.timing);
       conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kDone),
                       encode_effects({}));
-      return;
-    }
-    case ClusterPacket::kQueryFreeStats:
-      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kFreeStats),
-                      encode_free_stats(stats()));
-      return;
-    case ClusterPacket::kQueryBlockAt: {
-      BlockHashInfo info;
-      info.serial = decode_block_at(frame.payload);
-      if (const auto block = governor_->chain().retrieve(info.serial)) {
-        info.found = true;
-        info.hash = block->hash();
-      }
-      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kBlockHash),
-                      encode_block_hash(info));
       return;
     }
     case ClusterPacket::kShutdown:
@@ -205,7 +165,7 @@ void FreeNodeHost::drain_control(SyncConn& conn) {
 void FreeNodeHost::run(int fd) {
   SyncConn conn(fd);
   accept_driver(conn, genesis_, index_, governor_->node(), incarnation_,
-                head().serial);
+                governor_->chain().height());
 
   // Serve whatever the driver pipelined behind its welcome, then hand the
   // socket to the loop.

@@ -6,8 +6,9 @@
 // round schedule is armed on a real PollLoop over CLOCK_MONOTONIC, and
 // protocol messages travel peer-to-peer over a TcpTransport mesh with
 // auto-reconnect. The driver degrades from conductor to observer — it
-// announces the aligned start instant, injects workload, and polls the
-// head/serial RPCs that back the statistical convergence contract.
+// announces the aligned start instant, injects workload, and polls the same
+// kQueryState/kSnapshot reads a lockstep node serves, which back the
+// statistical convergence contract.
 //
 // Free-running requires reliable delivery: there is no cross-process atomic
 // broadcast sequencer, so the governor's runtime::Delivery must run on its
@@ -20,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/packets.hpp"
 #include "cluster/sync_conn.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
@@ -55,16 +55,11 @@ class NoBroadcaster final : public runtime::Broadcaster {
   std::vector<NodeId> members_;
 };
 
-/// Trace sink counting the liveness events the free-run observer polls for
-/// (kQueryFreeStats); stall and delivery-failure events are also mirrored to
-/// stderr so the per-node log files tell the degradation story.
-class TraceCounters final : public runtime::TraceSink {
+/// Trace sink mirroring stalled rounds and exhausted reliable deliveries to
+/// stderr, so the per-node log files tell the degradation story.
+class DegradationLog final : public runtime::TraceSink {
  public:
   void on_event(const runtime::TraceEvent& ev) override;
-
-  std::uint64_t rounds_started = 0;
-  std::uint64_t stalled_events = 0;     // kRoundStalled
-  std::uint64_t delivery_failures = 0;  // kDeliveryFailed
 };
 
 /// The governor process behind one free-running cluster node.
@@ -94,13 +89,10 @@ class FreeNodeHost {
   /// rethrow.
   void run(int fd);
 
-  [[nodiscard]] FreeRunStats stats() const;
-
  private:
   void handle_control(SyncConn& conn, const wire::Frame& frame);
   /// Serve every control frame that has arrived, without blocking.
   void drain_control(SyncConn& conn);
-  [[nodiscard]] HeadInfo head() const;
 
   sim::ScenarioConfig config_;
   std::size_t index_;
@@ -111,7 +103,7 @@ class FreeNodeHost {
   runtime::PollLoop loop_;
   runtime::TcpTransport transport_;
   NoBroadcaster broadcaster_;
-  TraceCounters counters_;
+  DegradationLog log_;
   ledger::ValidationOracle oracle_;
   runtime::NodeContext ctx_;
   std::unique_ptr<protocol::Governor> governor_;

@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <utility>
 
 #include "common/errors.hpp"
+#include "ledger/chain.hpp"
 #include "sim/harness/run_codec.hpp"
 #include "sim/harness/spec_codec.hpp"
 #include "sim/harness/workload.hpp"
@@ -33,7 +33,7 @@ constexpr std::uint64_t kRpcTimeoutUs = 10'000'000;
 
 }  // namespace
 
-bool parse_crash_plan(const std::string& spec, CrashPlan& plan) {
+bool parse_crash_plan(const std::string& spec, sim::CrashPlan& plan) {
   const std::size_t at = spec.find('@');
   const std::size_t colon = spec.find(':', at == std::string::npos ? 0 : at);
   if (at == std::string::npos || colon == std::string::npos || at == 0 ||
@@ -42,10 +42,10 @@ bool parse_crash_plan(const std::string& spec, CrashPlan& plan) {
   }
   try {
     std::size_t used = 0;
-    plan.victim = std::stoul(spec.substr(0, at), &used);
+    plan.governor = std::stoul(spec.substr(0, at), &used);
     if (used != at) return false;
     const std::string kill = spec.substr(at + 1, colon - at - 1);
-    plan.kill_round = std::stoul(kill, &used);
+    plan.crash_round = std::stoul(kill, &used);
     if (used != kill.size()) return false;
     const std::string restart = spec.substr(colon + 1);
     plan.restart_round = std::stoul(restart, &used);
@@ -53,44 +53,16 @@ bool parse_crash_plan(const std::string& spec, CrashPlan& plan) {
   } catch (const std::exception&) {
     return false;
   }
-  return plan.kill_round > 0 && plan.restart_round > plan.kill_round;
+  return plan.crash_round > 0 && plan.restart_round > plan.crash_round;
 }
 
-void validate_crash_plans(const std::vector<CrashPlan>& plans,
-                          std::size_t governors, Round rounds) {
-  std::vector<bool> seen(governors, false);
-  for (const CrashPlan& p : plans) {
-    if (p.victim >= governors) {
-      throw ConfigError("crash plan: victim " + std::to_string(p.victim) +
-                        " out of range (" + std::to_string(governors) +
-                        " governors)");
-    }
-    if (seen[p.victim]) {
-      throw ConfigError("crash plan: victim " + std::to_string(p.victim) +
-                        " scheduled twice");
-    }
-    seen[p.victim] = true;
-    if (p.kill_round == 0 || p.kill_round > rounds) {
-      throw ConfigError("crash plan: kill round " +
-                        std::to_string(p.kill_round) + " outside [1, " +
-                        std::to_string(rounds) + "]");
-    }
-    if (p.restart_round <= p.kill_round) {
-      throw ConfigError("crash plan: restart round " +
-                        std::to_string(p.restart_round) +
-                        " not after kill round " +
-                        std::to_string(p.kill_round));
-    }
-  }
-}
-
-std::size_t min_live_governors(const std::vector<CrashPlan>& plans,
+std::size_t min_live_governors(const std::vector<sim::CrashPlan>& plans,
                                std::size_t governors, Round rounds) {
   std::size_t min_live = governors;
   for (Round r = 1; r <= rounds; ++r) {
     std::size_t dead = 0;
-    for (const CrashPlan& p : plans) {
-      if (p.kill_round <= r && r < p.restart_round) ++dead;
+    for (const sim::CrashPlan& p : plans) {
+      if (p.crash_round <= r && r < p.restart_round) ++dead;
     }
     min_live = std::min(min_live, governors - dead);
   }
@@ -129,6 +101,15 @@ sim::ScenarioConfig free_run_normalized(sim::ScenarioConfig config) {
   return config;
 }
 
+sim::ScenarioConfig with_kills(sim::ScenarioConfig config,
+                               std::vector<sim::CrashPlan> kills) {
+  sim::normalize_config(config);
+  const SimDuration collecting = sim::round_timing(config).workload_offset;
+  for (sim::CrashPlan& plan : kills) plan.crash_offset = collecting;
+  config.crashes = std::move(kills);
+  return config;
+}
+
 runtime::TcpTransport::Options free_run_mesh_options(
     const sim::ScenarioConfig& config) {
   runtime::TcpTransport::Options opts;
@@ -143,10 +124,9 @@ runtime::TcpTransport::Options free_run_mesh_options(
 }
 
 FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config, LocalCluster& cluster,
-                             std::vector<CrashPlan> plans, Round grace_rounds)
+                             Round grace_rounds)
     : config_(free_run_normalized(std::move(config))),
       cluster_(cluster),
-      plans_(std::move(plans)),
       grace_rounds_(grace_rounds),
       rng_(config_.seed),
       model_(sim::SystemModel::build(config_, Rng(config_.seed))),
@@ -161,10 +141,10 @@ FreeRunDriver::FreeRunDriver(sim::ScenarioConfig config, LocalCluster& cluster,
                       std::to_string(config_.topology.governors) +
                       " governors");
   }
-  validate_crash_plans(plans_, conns_.size(), config_.rounds);
   alive_.assign(conns_.size(), true);
   incarnations_.assign(conns_.size(), 0);
   last_serial_.assign(conns_.size(), 0);
+  report_.node_states.resize(conns_.size());
   report_.degradation.min_live = conns_.size();
   for (auto& conn : conns_) conn->set_timeout(kRpcTimeoutUs);
 
@@ -329,15 +309,13 @@ void FreeRunDriver::inject_workload(Round round) {
   }
 }
 
-void FreeRunDriver::kill_due_victims() {
-  for (const CrashPlan& plan : plans_) {
-    if (round_ != plan.kill_round || !alive_[plan.victim]) continue;
-    // SIGKILL mid-round: the victim's in-memory state (and its peer mesh
-    // endpoint) vanish; survivors' channels retransmit into the gap.
-    cluster_.kill(plan.victim);
-    mark_dead(plan.victim);
-    if (report_.killed_at == 0) report_.killed_at = loop_.now();
-  }
+void FreeRunDriver::kill_victim(std::size_t victim) {
+  if (!alive_[victim]) return;
+  // SIGKILL mid-round: the victim's in-memory state (and its peer mesh
+  // endpoint) vanish; survivors' channels retransmit into the gap.
+  cluster_.kill(victim);
+  mark_dead(victim);
+  if (report_.killed_at == 0) report_.killed_at = loop_.now();
 }
 
 void FreeRunDriver::respawn_victim(std::size_t victim) {
@@ -388,48 +366,32 @@ void FreeRunDriver::respawn_victim(std::size_t victim) {
 
 void FreeRunDriver::end_round_checks() {
   std::uint64_t max_serial = 0;
-  std::uint64_t min_serial = std::numeric_limits<std::uint64_t>::max();
-  std::optional<HeadInfo> ref;
+  const sim::GovernorState* ref = nullptr;
   bool all_same = true;
-  report_.node_stats.assign(conns_.size(), FreeRunStats{});
   for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (!alive_[i]) {
+    std::optional<sim::GovernorState>& s = report_.node_states[i];
+    s.reset();
+    if (const auto bytes = try_query(i, ClusterPacket::kQueryState, {},
+                                     ClusterPacket::kState)) {
+      s = decode_state(*bytes);
+    }
+    if (!s) {
       all_same = false;
       continue;
     }
-    const auto bytes =
-        try_query(i, ClusterPacket::kQueryFreeStats, {}, ClusterPacket::kFreeStats);
-    if (!bytes) {
-      all_same = false;
-      continue;
+    if (s->head_serial < last_serial_[i]) report_.monotone_ok = false;
+    last_serial_[i] = s->head_serial;
+    max_serial = std::max(max_serial, s->head_serial);
+    // Common prefix at every polled head: a serial names one block, this
+    // round and forever.
+    if (s->head_serial > 0) {
+      const auto [it, inserted] = seen_hashes_.try_emplace(s->head_serial, s->head_hash);
+      if (!inserted && it->second != s->head_hash) report_.prefix_ok = false;
     }
-    const FreeRunStats s = decode_free_stats(*bytes);
-    report_.node_stats[i] = s;
-    if (s.head.serial < last_serial_[i]) report_.monotone_ok = false;
-    last_serial_[i] = s.head.serial;
-    max_serial = std::max(max_serial, s.head.serial);
-    min_serial = std::min(min_serial, s.head.serial);
-    if (!ref) {
-      ref = s.head;
-    } else if (s.head.serial != ref->serial || s.head.hash != ref->hash ||
-               s.head.committed_txs != ref->committed_txs) {
+    if (ref == nullptr) {
+      ref = &*s;
+    } else if (s->head_serial != ref->head_serial || s->head_hash != ref->head_hash) {
       all_same = false;
-    }
-  }
-  // Common-prefix probe at the lowest live head: every node already holding
-  // that serial must report the same block hash, this round and forever.
-  if (min_serial != std::numeric_limits<std::uint64_t>::max() &&
-      min_serial > 0) {
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (!alive_[i]) continue;
-      const auto bytes = try_query(i, ClusterPacket::kQueryBlockAt,
-                                   encode_block_at(min_serial),
-                                   ClusterPacket::kBlockHash);
-      if (!bytes) continue;
-      const BlockHashInfo info = decode_block_hash(*bytes);
-      if (!info.found) continue;
-      const auto [it, inserted] = seen_hashes_.try_emplace(min_serial, info.hash);
-      if (!inserted && it->second != info.hash) report_.prefix_ok = false;
     }
   }
   // Observer-side stall detection: a full round with no serial advance
@@ -442,13 +404,38 @@ void FreeRunDriver::end_round_checks() {
   }
   last_max_serial_ = std::max(last_max_serial_, max_serial);
 
-  if (!report_.converged && all_same && ref && ref->serial > 0 &&
+  if (!report_.converged && all_same && ref != nullptr && ref->head_serial > 0 &&
       live_count() == conns_.size() && round_ >= config_.rounds) {
     report_.converged = true;
     report_.converged_round = round_;
-    report_.head_serial = ref->serial;
-    report_.committed_txs = ref->committed_txs;
-    report_.head_hash_hex = to_hex(view(ref->hash));
+    report_.head_serial = ref->head_serial;
+    report_.head_hash_hex = to_hex(view(ref->head_hash));
+  }
+}
+
+void FreeRunDriver::end_of_run_chain_checks() {
+  std::vector<ledger::ChainStore> chains;
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    const auto bytes =
+        try_query(i, ClusterPacket::kSnapshot, {}, ClusterPacket::kSnapshotData);
+    if (!bytes) continue;
+    // append() re-validates serials and hash links: a node cannot ship a
+    // chain that does not link.
+    ledger::ChainStore& chain = chains.emplace_back();
+    for (ledger::Block& b : decode_snapshot(*bytes)) chain.append(std::move(b));
+  }
+  for (std::size_t a = 0; a < chains.size(); ++a) {
+    for (std::size_t b = a + 1; b < chains.size(); ++b) {
+      if (!ledger::ChainStore::same_prefix(chains[a], chains[b])) {
+        report_.prefix_ok = false;
+      }
+    }
+  }
+  if (report_.converged && !chains.empty()) {
+    for (const ledger::Block& block : chains.front().blocks()) {
+      if (block.serial > report_.head_serial) break;
+      report_.committed_txs += block.txs.size();
+    }
   }
 }
 
@@ -459,14 +446,18 @@ void FreeRunDriver::run_round() {
   for (auto& p : providers_) p.arm_round(t0, timing);
   // Respawns due at this boundary happen before the round's traffic: the
   // returning governor syncs during the round and rejoins at the next
-  // aligned boundary.
-  for (const CrashPlan& plan : plans_) {
-    if (round_ == plan.restart_round && !alive_[plan.victim]) {
-      respawn_victim(plan.victim);
+  // aligned boundary. Kills fire at their offsets into the round, as the
+  // simulator's FaultPlan::schedule_crashes fires them.
+  for (const sim::CrashPlan& plan : config_.crashes) {
+    if (round_ == plan.restart_round && !alive_[plan.governor]) {
+      respawn_victim(plan.governor);
+    }
+    if (round_ == plan.crash_round) {
+      loop_.schedule_at(t0 + plan.crash_offset,
+                        [this, g = plan.governor] { kill_victim(g); });
     }
   }
   loop_.run_until(t0 + timing.workload_offset);
-  kill_due_victims();
   inject_workload(round_);
   loop_.run_until(t0 + timing.round_span);
   end_round_checks();
@@ -494,9 +485,12 @@ void FreeRunDriver::shutdown_nodes() {
 
 FreeRunReport FreeRunDriver::run() {
   // Reference side of the tolerance check: the identical config, simulated
-  // in-process on the deterministic event loop.
+  // in-process on the deterministic event loop without its crash schedule,
+  // so the band does not depend on the faults under test.
   {
-    const sim::RunResult ref = sim::simulate_run(config_);
+    sim::ScenarioConfig reference = config_;
+    reference.crashes.clear();
+    const sim::RunResult ref = sim::simulate_run(reference);
     report_.reference_txs = ref.summary.chain_valid_txs +
                             ref.summary.chain_unchecked_txs +
                             ref.summary.chain_argued_txs;
@@ -507,9 +501,10 @@ FreeRunReport FreeRunDriver::run() {
     run_round();
   }
   report_.rounds_run = round_;
-  std::uint64_t stalled = 0;
-  for (const FreeRunStats& s : report_.node_stats) stalled += s.stalled_events;
-  report_.degradation.stalled_events = stalled;
+  end_of_run_chain_checks();
+  for (const auto& s : report_.node_states) {
+    if (s) report_.degradation.stalled_events += s->watchdog_trips;
+  }
   if (report_.converged && report_.degradation.last_restart_round > 0) {
     report_.degradation.rounds_to_recover =
         report_.converged_round - report_.degradation.last_restart_round;

@@ -5,18 +5,19 @@
 // governors own their clocks (FreeNodeHost, real CLOCK_MONOTONIC rounds,
 // peer-to-peer TcpTransport mesh) and the driver degrades to a supervisor:
 // it hosts the providers and collectors on its own PollLoop, injects the
-// workload on the shared round cadence, executes the multi-victim crash
-// schedule, and polls head/serial RPCs. Byte-identical replay is impossible
-// off the simulator's total order, so the acceptance check becomes a
-// statistical convergence contract:
+// workload on the shared round cadence, executes the spec's crash schedule
+// (ScenarioConfig::crashes, the plans the simulator runs), and reads every
+// node through lockstep's kQueryState/kSnapshot. Byte-identical replay is
+// impossible off the simulator's total order, so the acceptance check
+// becomes a statistical convergence contract:
 //
 //   1. every node's head serial is monotone across polls,
-//   2. no two nodes ever report different hashes for the same serial
-//      (common prefix — no fork),
+//   2. no two nodes ever hold different blocks at one serial (common prefix
+//      — no fork): heads are compared every round, whole chains at the end,
 //   3. after the configured rounds (plus bounded grace) all nodes report
 //      an identical non-empty head,
 //   4. the committed transaction total lands within a tolerance band of
-//      the in-process simulation of the same config.
+//      the in-process, crash-free simulation of the same config.
 
 #include <cstdint>
 #include <deque>
@@ -38,21 +39,11 @@
 #include "runtime/node_context.hpp"
 #include "runtime/poll_loop.hpp"
 #include "runtime/tcp_transport.hpp"
+#include "sim/harness/observation.hpp"
 #include "sim/harness/spec.hpp"
 #include "sim/harness/system_model.hpp"
 
 namespace repchain::cluster {
-
-/// Supervision schedule for one victim of a free-running run: SIGKILL
-/// `victim` mid-round `kill_round`, respawn it against its persisted state
-/// directory at the start of round `restart_round`. A run takes a list of
-/// these (one per victim, windows may overlap) — concurrent kills that drop
-/// the committee below election quorum are a legal, tested schedule.
-struct CrashPlan {
-  std::size_t victim = 0;
-  Round kill_round = 0;
-  Round restart_round = 0;
-};
 
 /// Reliable-mode election quorum: close_election() requires a strict
 /// majority of the (non-expelled) committee, counted against committee size
@@ -61,21 +52,15 @@ struct CrashPlan {
   return governors / 2 + 1;
 }
 
-/// Parse one `v@k:r` crash-plan spec (victim, kill round, restart round).
-/// Returns false on malformed input.
-[[nodiscard]] bool parse_crash_plan(const std::string& spec, CrashPlan& plan);
-
-/// Reject inconsistent schedules: a duplicate victim, a victim index at or
-/// past `governors`, kill_round 0 or past `rounds`, or restart_round not
-/// strictly after kill_round. Throws ConfigError.
-void validate_crash_plans(const std::vector<CrashPlan>& plans,
-                          std::size_t governors, Round rounds);
+/// Parse one `v@k:r` crash-plan spec (governor, crash round, restart round;
+/// the offset is left to with_kills). Returns false on malformed input.
+[[nodiscard]] bool parse_crash_plan(const std::string& spec, sim::CrashPlan& plan);
 
 /// Fewest governors alive in any round of [1, rounds] under `plans` (a
-/// victim counts dead from its kill round until the round before its
+/// victim counts dead from its crash round until the round before its
 /// restart). Compare against election_quorum() to predict a stall window.
-[[nodiscard]] std::size_t min_live_governors(const std::vector<CrashPlan>& plans,
-                                             std::size_t governors, Round rounds);
+[[nodiscard]] std::size_t min_live_governors(
+    const std::vector<sim::CrashPlan>& plans, std::size_t governors, Round rounds);
 
 /// How a supervised run degraded while victims were down: whether the live
 /// committee ever dropped below election quorum, the watchdog activity the
@@ -84,7 +69,7 @@ void validate_crash_plans(const std::vector<CrashPlan>& plans,
 struct DegradationReport {
   bool quorum_lost = false;       // live committee < election_quorum at some point
   std::size_t min_live = 0;       // fewest live governors observed
-  std::uint64_t stalled_events = 0;  // kRoundStalled traces (= watchdog trips)
+  std::uint64_t stalled_events = 0;  // watchdog trips (kRoundStalled traces)
   SimTime stall_first = 0;        // clock of the first stall observation (0 = none)
   SimTime stall_last = 0;         // clock of the last stall observation
   Round last_restart_round = 0;   // round of the final respawn
@@ -105,6 +90,13 @@ struct DegradationReport {
 /// cluster-runnable with reliable delivery. Nodes and observer both apply it.
 [[nodiscard]] sim::ScenarioConfig free_run_normalized(sim::ScenarioConfig config);
 
+/// `config` with `kills` as its crash schedule, each victim SIGKILLed as its
+/// crash round's collecting phase opens: every plan's crash_offset becomes
+/// the run's RoundTiming::workload_offset, derived by sim::round_timing from
+/// the normalized config, as SystemModel::build derives it.
+[[nodiscard]] sim::ScenarioConfig with_kills(sim::ScenarioConfig config,
+                                             std::vector<sim::CrashPlan> kills);
+
 /// Peer-mesh transport options shared by free-run nodes and the observer.
 [[nodiscard]] runtime::TcpTransport::Options free_run_mesh_options(
     const sim::ScenarioConfig& config);
@@ -113,7 +105,7 @@ struct DegradationReport {
 struct FreeRunReport {
   bool converged = false;       // identical non-empty heads, all alive
   bool monotone_ok = true;      // no node's serial ever decreased
-  bool prefix_ok = true;        // no conflicting hashes at one serial
+  bool prefix_ok = true;        // no two nodes hold different blocks at one serial
   bool txs_in_tolerance = false;
   Round rounds_run = 0;
   Round converged_round = 0;
@@ -127,7 +119,7 @@ struct FreeRunReport {
   SimTime rejoined_at = 0;  // observer clock of the last completed respawn
   std::uint32_t restart_attempts = 0;
   DegradationReport degradation;
-  std::vector<FreeRunStats> node_stats;  // final poll per node (dead = zeroed)
+  sim::GovernorStates node_states;  // final poll per node (nullopt = dead)
 
   [[nodiscard]] bool ok() const {
     return converged && monotone_ok && prefix_ok && txs_in_tolerance;
@@ -138,11 +130,13 @@ struct FreeRunReport {
 /// a peer base against the same derived config.
 class FreeRunDriver {
  public:
-  /// `plans` is the crash schedule, validated here (validate_crash_plans);
-  /// `grace_rounds` extra full rounds, workload included, are granted past
-  /// the configured count for heads to agree after faults.
+  /// The crash schedule is `config.crashes`: a victim is SIGKILLed at its
+  /// crash round's t0 + crash_offset and respawned from its persisted state
+  /// at the start of its restart round. `grace_rounds` extra full rounds,
+  /// workload included, are granted past the configured count for heads to
+  /// agree after faults.
   FreeRunDriver(sim::ScenarioConfig config, LocalCluster& cluster,
-                std::vector<CrashPlan> plans, Round grace_rounds);
+                Round grace_rounds);
   ~FreeRunDriver();
 
   FreeRunDriver(const FreeRunDriver&) = delete;
@@ -156,9 +150,12 @@ class FreeRunDriver {
   void start_nodes();
   void run_round();
   void inject_workload(Round round);
-  void kill_due_victims();
+  void kill_victim(std::size_t victim);
   void respawn_victim(std::size_t victim);
   void end_round_checks();
+  /// One kSnapshot per live node: every pair must share a prefix, and the
+  /// converged head's committed-tx count is read off the chain.
+  void end_of_run_chain_checks();
   void mark_dead(std::size_t index);
   void note_liveness();
   [[nodiscard]] std::size_t live_count() const;
@@ -175,7 +172,6 @@ class FreeRunDriver {
 
   sim::ScenarioConfig config_;
   LocalCluster& cluster_;
-  std::vector<CrashPlan> plans_;
   Round grace_rounds_;
   Rng rng_;
   sim::SystemModel model_;

@@ -84,6 +84,22 @@ void RemoteTraceSink::on_event(const runtime::TraceEvent& ev) {
   effects_.push_back(std::move(e));
 }
 
+bool serve_read(SyncConn& conn, const wire::Frame& frame,
+                const protocol::Governor& governor, std::uint64_t validations) {
+  switch (static_cast<ClusterPacket>(frame.type)) {
+    case ClusterPacket::kQueryState:
+      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kState),
+                      encode_state(sim::read_governor_state(governor, validations)));
+      return true;
+    case ClusterPacket::kSnapshot:
+      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kSnapshotData),
+                      encode_snapshot(governor.chain().blocks()));
+      return true;
+    default:
+      return false;
+  }
+}
+
 NodeHost::NodeHost(sim::ScenarioConfig config, std::size_t governor_index)
     : config_(normalized(std::move(config))),
       index_(checked_governor_index(governor_index, config_.topology.governors)),
@@ -113,6 +129,7 @@ void NodeHost::reply_done(SyncConn& conn) {
 }
 
 void NodeHost::handle(SyncConn& conn, const wire::Frame& frame, bool& done) {
+  if (serve_read(conn, frame, *governor_, oracle_.validations())) return;
   switch (static_cast<ClusterPacket>(frame.type)) {
     case ClusterPacket::kRegisterTx: {
       const RegisterTx reg = decode_register_tx(frame.payload);
@@ -147,15 +164,6 @@ void NodeHost::handle(SyncConn& conn, const wire::Frame& frame, bool& done) {
       reply_done(conn);
       return;
     }
-    case ClusterPacket::kQueryState:
-      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kState),
-                      encode_state(sim::read_governor_state(*governor_,
-                                                            oracle_.validations())));
-      return;
-    case ClusterPacket::kSnapshot:
-      conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kSnapshotData),
-                      encode_snapshot(governor_->chain().blocks()));
-      return;
     case ClusterPacket::kShutdown:
       reply_done(conn);
       done = true;

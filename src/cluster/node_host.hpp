@@ -123,6 +123,13 @@ class RemoteTraceSink final : public runtime::TraceSink {
   std::vector<Effect>& effects_;
 };
 
+/// Serve `frame` when it is one of the pure reads every node host answers:
+/// kQueryState with `governor`'s sim::GovernorState (`validations` counts its
+/// oracle replica) and kSnapshot with its chain. Returns false, sending
+/// nothing, for any other request.
+bool serve_read(SyncConn& conn, const wire::Frame& frame,
+                const protocol::Governor& governor, std::uint64_t validations);
+
 /// The governor process behind one driver connection. Stateless by design:
 /// a lockstep node holds nothing the driver could not replay, so it has no
 /// store, no incarnation and no resume path — crash/restart schedules run on

@@ -87,15 +87,6 @@ Effect decode_effect(BinaryReader& r) {
   return e;
 }
 
-HeadInfo read_head(BinaryReader& r) {
-  HeadInfo h;
-  h.serial = r.u64();
-  h.hash = r.raw_array<32>();
-  h.committed_txs = r.u64();
-  h.incarnation = r.u32();
-  return h;
-}
-
 }  // namespace
 
 Bytes encode_effects(const std::vector<Effect>& effects) {
@@ -124,6 +115,7 @@ Bytes encode_state(const sim::GovernorState& s) {
   w.f64(s.realized_loss);
   w.u64(s.mistakes);
   w.u64(s.argues_accepted);
+  w.u64(s.watchdog_trips);
   w.u64(s.validations);
   w.u64(s.head_serial);
   w.raw(view(s.head_hash));
@@ -148,6 +140,7 @@ sim::GovernorState decode_state(BytesView data) {
     s.realized_loss = r.f64();
     s.mistakes = r.u64();
     s.argues_accepted = r.u64();
+    s.watchdog_trips = r.u64();
     s.validations = r.u64();
     s.head_serial = r.u64();
     s.head_hash = r.raw_array<32>();
@@ -188,19 +181,6 @@ std::vector<ledger::Block> decode_snapshot(BytesView data) {
     }
     return blocks;
   });
-}
-
-Bytes encode_head(const HeadInfo& h) {
-  BinaryWriter w;
-  w.u64(h.serial);
-  w.raw(view(h.hash));
-  w.u64(h.committed_txs);
-  w.u32(h.incarnation);
-  return std::move(w).take();
-}
-
-HeadInfo decode_head(BytesView data) {
-  return decode_exact(data, read_head);
 }
 
 Bytes encode_register_tx(const RegisterTx& reg) {
@@ -297,64 +277,6 @@ FreeStart decode_free_start(BytesView data) {
     s.first_round = r.u64();
     s.start_delay = static_cast<SimDuration>(r.u64());
     return s;
-  });
-}
-
-Bytes encode_free_stats(const FreeRunStats& s) {
-  BinaryWriter w;
-  w.raw(encode_head(s.head));
-  w.u64(s.current_round);
-  w.u64(s.rounds_started);
-  w.u64(s.stalled_events);
-  w.u64(s.watchdog_trips);
-  w.u64(s.delivery_failures);
-  w.u64(s.reconnects);
-  w.u64(s.blocks_accepted);
-  w.u64(s.blocks_synced);
-  return std::move(w).take();
-}
-
-FreeRunStats decode_free_stats(BytesView data) {
-  return decode_exact(data, [](BinaryReader& r) {
-    FreeRunStats s;
-    s.head = read_head(r);
-    s.current_round = r.u64();
-    s.rounds_started = r.u64();
-    s.stalled_events = r.u64();
-    s.watchdog_trips = r.u64();
-    s.delivery_failures = r.u64();
-    s.reconnects = r.u64();
-    s.blocks_accepted = r.u64();
-    s.blocks_synced = r.u64();
-    return s;
-  });
-}
-
-Bytes encode_block_at(std::uint64_t serial) {
-  BinaryWriter w;
-  w.u64(serial);
-  return std::move(w).take();
-}
-
-std::uint64_t decode_block_at(BytesView data) {
-  return decode_exact(data, [](BinaryReader& r) { return r.u64(); });
-}
-
-Bytes encode_block_hash(const BlockHashInfo& b) {
-  BinaryWriter w;
-  w.u64(b.serial);
-  w.boolean(b.found);
-  w.raw(view(b.hash));
-  return std::move(w).take();
-}
-
-BlockHashInfo decode_block_hash(BytesView data) {
-  return decode_exact(data, [](BinaryReader& r) {
-    BlockHashInfo b;
-    b.serial = r.u64();
-    b.found = r.boolean();
-    b.hash = r.raw_array<32>();
-    return b;
   });
 }
 

@@ -27,12 +27,13 @@ namespace repchain::cluster {
 
 /// RPC packet types. Driver->node requests carry the node's virtual clock;
 /// every request that can execute protocol code gets a kDone reply carrying
-/// the recorded effects. Queries (kQuery*, kSnapshot) are pure reads with
-/// typed replies. kRegisterTx is fire-and-forget in lockstep — the socket's
-/// FIFO puts it ahead of any later delivery that could validate the
-/// transaction — and answered with kDone by a free-running node, whose mesh
-/// traffic does not share that FIFO. Numbers are wire-stable: a gap is a
-/// retired type, never to be reused.
+/// the recorded effects. The reads (kQueryState, kSnapshot) are pure, with
+/// typed replies, and both cluster modes poll nodes through them alone.
+/// kRegisterTx is fire-and-forget in lockstep — the socket's FIFO puts it
+/// ahead of any later delivery that could validate the transaction — and
+/// answered with kDone by a free-running node, whose mesh traffic does not
+/// share that FIFO. Numbers are wire-stable: a gap is a retired type, never
+/// to be reused.
 enum class ClusterPacket : std::uint16_t {
   // driver -> node
   kRegisterTx = 16,  // ground-truth forwarding
@@ -41,17 +42,13 @@ enum class ClusterPacket : std::uint16_t {
   kArmRound = 19,    // Governor::arm_round(round, t0, timing)
   kReveal = 20,      // audit: reveal_unchecked(txid)
   kQueryState = 21,
-  kSnapshot = 24,  // end-of-run chain
+  kSnapshot = 24,  // the chain so far
   kShutdown = 25,
-  kFreeStart = 28,      // free-run: self-drive rounds from an aligned t0
-  kQueryFreeStats = 29, // free-run probe: head + liveness counters
-  kQueryBlockAt = 30,   // fork probe: hash of the block at a given serial
+  kFreeStart = 28,  // free-run: self-drive rounds from an aligned t0
   // node -> driver
   kDone = 32,   // effects recorded while serving the request
   kState = 33,  // sim::GovernorState
   kSnapshotData = 36,  // the chain's blocks
-  kFreeStats = 38,     // FreeRunStats
-  kBlockHash = 39,     // BlockHashInfo
 };
 
 /// One externally-visible action recorded by a node while running governor
@@ -87,18 +84,6 @@ struct Effect {
 /// kQueryState reply: the hosted governor's sim::GovernorState.
 [[nodiscard]] Bytes encode_state(const sim::GovernorState& s);
 [[nodiscard]] sim::GovernorState decode_state(BytesView data);
-
-/// A node's chain-head identity, carried inside FreeRunStats: the free-run
-/// convergence contract compares it across survivors and restarted nodes.
-struct HeadInfo {
-  std::uint64_t serial = 0;        // head block serial (0 = empty chain)
-  crypto::Hash256 hash{};          // H(head block)
-  std::uint64_t committed_txs = 0; // tx records across the whole chain
-  std::uint32_t incarnation = 0;   // the node's restart count
-};
-
-[[nodiscard]] Bytes encode_head(const HeadInfo& h);
-[[nodiscard]] HeadInfo decode_head(BytesView data);
 
 /// kSnapshotData reply: the hosted governor's chain, block by block.
 [[nodiscard]] Bytes encode_snapshot(const std::vector<ledger::Block>& blocks);
@@ -150,39 +135,5 @@ struct FreeStart {
 
 [[nodiscard]] Bytes encode_free_start(const FreeStart& s);
 [[nodiscard]] FreeStart decode_free_start(BytesView data);
-
-/// kFreeStats reply: the head identity plus the liveness counters a
-/// free-running observer needs for the convergence contract and the
-/// degradation report (watchdog trips, stall events, channel exhaustion).
-struct FreeRunStats {
-  HeadInfo head;
-  std::uint64_t current_round = 0;
-  std::uint64_t rounds_started = 0;
-  std::uint64_t stalled_events = 0;     // kRoundStalled traces emitted
-  std::uint64_t watchdog_trips = 0;
-  std::uint64_t delivery_failures = 0;  // reliable-channel budget exhaustion
-  std::uint64_t reconnects = 0;         // transport links re-established
-  std::uint64_t blocks_accepted = 0;
-  std::uint64_t blocks_synced = 0;
-};
-
-[[nodiscard]] Bytes encode_free_stats(const FreeRunStats& s);
-[[nodiscard]] FreeRunStats decode_free_stats(BytesView data);
-
-/// kQueryBlockAt request: a block serial. Reply kBlockHash: whether the
-/// node's chain holds that serial yet and, if so, the block's hash — the
-/// observer cross-checks these across nodes to prove common-prefix (no
-/// fork) without shipping whole blocks.
-[[nodiscard]] Bytes encode_block_at(std::uint64_t serial);
-[[nodiscard]] std::uint64_t decode_block_at(BytesView data);
-
-struct BlockHashInfo {
-  std::uint64_t serial = 0;
-  bool found = false;
-  crypto::Hash256 hash{};
-};
-
-[[nodiscard]] Bytes encode_block_hash(const BlockHashInfo& b);
-[[nodiscard]] BlockHashInfo decode_block_hash(BytesView data);
 
 }  // namespace repchain::cluster

@@ -256,13 +256,7 @@ void Governor::on_vrf(const runtime::Message& msg) {
   // broadcast and restarted with an empty expelled set, which then waits
   // forever on a leader that never proposes). Re-share the held proof at
   // most once per round so such replicas re-converge.
-  if (expelled_.contains(announce.governor)) {
-    const auto ev = expel_evidence_.find(announce.governor);
-    if (ev != expel_evidence_.end() && expel_reshare_round_ != round_) {
-      expel_reshare_round_ = round_;
-      broadcast_expel(announce.governor, ev->second);
-    }
-  }
+  if (expelled_.contains(announce.governor)) reshare_expulsion(announce.governor);
   const auto announcer_node = directory_.find_node(announce.governor);
   if (!announcer_node) return;  // names no registered governor
   const bool fresh = election_->add_announcement(announce, im_, *announcer_node);
@@ -280,13 +274,16 @@ void Governor::on_vrf(const runtime::Message& msg) {
       out_.send(peer, runtime::MsgKind::kVrfAnnounce, msg.payload);
     }
   }
-  if (!leader_announced_) {
-    if (const auto winner = election_->winner()) {
-      leader_announced_ = true;
-      emit(runtime::TraceKind::kLeaderElected, winner->value());
-    }
-  }
+  announce_leader();
   retry_pending_proposals();
+}
+
+void Governor::announce_leader() {
+  if (leader_announced_) return;
+  if (const auto winner = election_->winner()) {
+    leader_announced_ = true;
+    emit(runtime::TraceKind::kLeaderElected, winner->value());
+  }
 }
 
 bool Governor::is_leader() const { return election_ && election_->winner() == id_; }
@@ -300,12 +297,7 @@ std::optional<GovernorId> Governor::round_leader() const {
 void Governor::close_election() {
   if (!out_.reliable() || !election_) return;
   election_->close(election_->expected() / 2 + 1);
-  if (!leader_announced_) {
-    if (const auto winner = election_->winner()) {
-      leader_announced_ = true;
-      emit(runtime::TraceKind::kLeaderElected, winner->value());
-    }
-  }
+  announce_leader();
   retry_pending_proposals();
 }
 
@@ -370,11 +362,7 @@ void Governor::on_block_proposal(const runtime::Message& msg) {
     // expelled set, and honest governors no longer echo the offender's
     // proposals — without this, that replica keeps counting the expelled
     // leader in its elections and the quorum diverges permanently.
-    const auto ev = expel_evidence_.find(block.leader);
-    if (ev != expel_evidence_.end() && expel_reshare_round_ != round_) {
-      expel_reshare_round_ = round_;
-      broadcast_expel(block.leader, ev->second);
-    }
+    reshare_expulsion(block.leader);
     return;
   }
 
@@ -470,9 +458,12 @@ void Governor::adopt_proposal(ledger::Block block) {
     broadcast_expel(block.leader, block.encode());
     return;
   }
+  commit_appended_head();
+}
+
+void Governor::commit_appended_head() {
   ++metrics_.blocks_accepted;
   head_checked_ = false;
-
   // Reconcile local pending list: drop records now present in the chain.
   const ledger::Block& accepted = chain_.head();
   persist_block(accepted);
@@ -730,12 +721,7 @@ void Governor::drain_stash() {
       continue;
     }
     future_blocks_.erase(it);
-    ++metrics_.blocks_accepted;
-    head_checked_ = false;
-    const ledger::Block& accepted = chain_.head();
-    persist_block(accepted);
-    assembler_.reconcile(accepted);
-    emit(runtime::TraceKind::kBlockCommitted, accepted.serial, accepted.txs.size());
+    commit_appended_head();
   }
 }
 
@@ -971,6 +957,14 @@ void Governor::recover_from_store() {
 void Governor::broadcast_expel(GovernorId accused, Bytes evidence) {
   const ExpelMsg msg = make_expel(round_, id_, accused, std::move(evidence), key_);
   out_.broadcast(runtime::MsgKind::kExpelEvidence, msg.encode());
+}
+
+void Governor::reshare_expulsion(GovernorId accused) {
+  const auto ev = expel_evidence_.find(accused);
+  if (ev != expel_evidence_.end() && expel_reshare_round_ != round_) {
+    expel_reshare_round_ = round_;
+    broadcast_expel(accused, ev->second);
+  }
 }
 
 void Governor::on_expel(const runtime::Message& msg) {

@@ -219,6 +219,9 @@ class Governor {
   void on_block_response(const runtime::Message& msg);
 
   void broadcast_expel(GovernorId accused, Bytes evidence);
+  /// Re-share the held expulsion proof against `accused`, at most once per
+  /// round, for replicas that lost their expelled set in a crash.
+  void reshare_expulsion(GovernorId accused);
   void emit(runtime::TraceKind kind, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
   /// Emit a kByzantineEvidence trace (and count it in the metrics).
   void emit_byzantine(adversary::ByzantineKind kind, std::uint64_t offender);
@@ -226,6 +229,8 @@ class Governor {
   /// Reliable-mode degraded election closure (majority quorum) at propose
   /// time; no-op otherwise.
   void close_election();
+  /// Emit kLeaderElected once per round, as soon as the election has a winner.
+  void announce_leader();
   /// Winner check + stash-or-adopt for a proposal that cleared the
   /// byzantine-defense gate (or arrived with the defense off).
   void settle_proposal(ledger::Block block);
@@ -236,6 +241,9 @@ class Governor {
   /// Serial/link/authenticity checks + append for a proposal whose leader
   /// legitimacy has already been established.
   void adopt_proposal(ledger::Block block);
+  /// Bookkeeping for the block just appended to the chain: count it, persist
+  /// it, reconcile the pending records and emit kBlockCommitted.
+  void commit_appended_head();
   /// Byzantine defense: record that `peer` served an invalid or outvoted
   /// sync response; distrusted peers are deprioritized in request_block.
   void note_lying_peer(NodeId peer);

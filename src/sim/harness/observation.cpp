@@ -22,6 +22,7 @@ GovernorState read_governor_state(const protocol::Governor& governor,
   s.realized_loss = governor.metrics().realized_loss;
   s.mistakes = governor.metrics().mistakes;
   s.argues_accepted = governor.metrics().argues_accepted;
+  s.watchdog_trips = governor.metrics().watchdog_trips;
   s.validations = validations;
   const ledger::ChainStore& chain = governor.chain();
   s.head_serial = chain.height();

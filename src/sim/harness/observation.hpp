@@ -29,13 +29,15 @@ struct Wiring;
 /// Everything the round loop reads of one live governor: the counters the
 /// round edges probe, the leader's head block and revenue split for the
 /// reward timer, the head the anchor step commits, the audit's draws, and
-/// the losses the summary averages.
+/// the losses the summary averages. The free-running cluster's observer
+/// polls the same read for heads and watchdog trips.
 struct GovernorState {
   std::optional<GovernorId> leader;  // this replica's view of the round leader
   double expected_loss = 0.0;
   double realized_loss = 0.0;
   std::uint64_t mistakes = 0;
   std::uint64_t argues_accepted = 0;
+  std::uint64_t watchdog_trips = 0;  // kRoundStalled traces emitted
   /// Validations by this governor's own oracle replica; 0 for a governor
   /// sharing the harness oracle, which is counted once on its own.
   std::uint64_t validations = 0;

@@ -1,6 +1,7 @@
 #include "sim/harness/spec_codec.hpp"
 
 #include <string>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "common/serial.hpp"
@@ -10,13 +11,16 @@ namespace {
 
 // v1 predates sharding; v2 appends shard_count / anchor_interval /
 // cross_shard_probability / bounded_history; v3 drops the scenario-level
-// reliable_delivery boolean (the governor's flag is the one setting). The
+// reliable_delivery boolean (the governor's flag is the one setting); v4
+// appends the crash schedule, which the free-running cluster executes. The
 // version byte leads the encoding, so universes of different versions can
 // never present the same genesis hash.
-constexpr std::uint8_t kConfigVersion = 3;
+constexpr std::uint8_t kConfigVersion = 4;
 
 /// Crash and adversary plans index the live node arrays directly, so an
-/// index past its topology count must never reach the harness.
+/// index past its topology count must never reach the harness. A crash plan
+/// must also crash inside the run and restart after its crash, and a
+/// governor has at most one plan, so its down windows never overlap.
 void validate_plans(const ScenarioConfig& config) {
   const auto& topo = config.topology;
   const auto check = [](const char* what, std::size_t index, std::size_t count) {
@@ -24,10 +28,19 @@ void validate_plans(const ScenarioConfig& config) {
       throw ConfigError(std::string(what) + " index " + std::to_string(index) +
                         " out of range (" + std::to_string(count) + ")");
   };
+  std::vector<bool> scheduled(topo.governors, false);
   for (const CrashPlan& plan : config.crashes) {
     check("crash plan governor", plan.governor, topo.governors);
     if (plan.crash_round == 0 || plan.restart_round <= plan.crash_round)
       throw ConfigError("crash plan: needs 1 <= crash_round < restart_round");
+    if (plan.crash_round > config.rounds)
+      throw ConfigError("crash plan: crash round " +
+                        std::to_string(plan.crash_round) + " past the " +
+                        std::to_string(config.rounds) + " configured rounds");
+    if (scheduled[plan.governor])
+      throw ConfigError("crash plan: governor " + std::to_string(plan.governor) +
+                        " scheduled twice");
+    scheduled[plan.governor] = true;
   }
   const auto& adv = config.adversary;
   for (const auto& s : adv.equivocating_leaders)
@@ -43,8 +56,6 @@ void validate_plans(const ScenarioConfig& config) {
 }  // namespace
 
 void require_encodable(const ScenarioConfig& c) {
-  if (!c.crashes.empty())
-    throw ConfigError("encodable config cannot schedule crashes");
   if (!c.faults.empty())
     throw ConfigError("encodable config cannot schedule network faults");
   if (!c.adversary.empty())
@@ -151,6 +162,13 @@ Bytes encode_config(const ScenarioConfig& c) {
   w.u64(c.anchor_interval);
   w.f64(c.cross_shard_probability);
   w.u64(c.bounded_history);
+  w.u32(static_cast<std::uint32_t>(c.crashes.size()));
+  for (const CrashPlan& plan : c.crashes) {
+    w.u64(plan.governor);
+    w.u64(plan.crash_round);
+    w.u64(plan.crash_offset);
+    w.u64(plan.restart_round);
+  }
   return std::move(w).take();
 }
 
@@ -214,6 +232,16 @@ ScenarioConfig decode_config(BytesView data) {
   c.anchor_interval = r.u64();
   c.cross_shard_probability = r.f64();
   c.bounded_history = r.u64();
+  const std::uint32_t crashes = r.u32();
+  r.expect_count(crashes, 4 * 8);
+  for (std::uint32_t i = 0; i < crashes; ++i) {
+    CrashPlan plan;
+    plan.governor = r.u64();
+    plan.crash_round = r.u64();
+    plan.crash_offset = r.u64();
+    plan.restart_round = r.u64();
+    c.crashes.push_back(plan);
+  }
   r.expect_done();
   return c;
 }

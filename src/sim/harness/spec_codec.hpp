@@ -16,18 +16,22 @@
 namespace repchain::sim {
 
 /// Validate the spec and apply the implied-flag rules in place (idempotent):
-/// scenario-level gossip/reliable mirror into GovernorConfig, a scheduled
-/// adversary switches the paired defenses on, fault schedules default the
-/// liveness watchdog on. Throws ConfigError on an invalid spec, including a
-/// crash or adversary plan naming a node past its topology count, a crash in
-/// round 0, or a restart not after its crash.
+/// scenario-level gossip mirrors into GovernorConfig, a scheduled adversary
+/// switches the paired defenses on, fault schedules default the liveness
+/// watchdog on. Throws ConfigError on an invalid spec, including a crash or
+/// adversary plan naming a node past its topology count, and a crash plan in
+/// round 0 or past `rounds`, with a restart not after its crash, or for a
+/// governor that already has one. This is the one crash-schedule validator:
+/// the simulator and the free-running cluster run the same plans.
 void normalize_config(ScenarioConfig& config);
 
 /// Throws ConfigError on features the canonical encoding cannot express:
-/// crash plans, network fault schedules, adversary plans, durable governors,
-/// on-disk storage — those need in-process access to the governor objects.
-/// Sharded configs ARE encodable (their genesis identity must be computable
-/// so two differently-sharded universes cannot admit each other).
+/// network fault schedules, adversary plans, durable governors, on-disk
+/// storage — those need in-process access to the governor objects. Crash
+/// plans ARE encodable: the free-running cluster executes them, and observer
+/// and nodes must hash the same schedule. Sharded configs are encodable too
+/// (their genesis identity must be computable so two differently-sharded
+/// universes cannot admit each other).
 void require_encodable(const ScenarioConfig& config);
 
 /// Everything require_encodable checks, plus rejection of `shard_count > 1`:

@@ -9,6 +9,15 @@
 
 namespace repchain::sim {
 
+protocol::RoundTiming round_timing(const ScenarioConfig& config) {
+  return protocol::RoundTiming::derive(
+      config.latency.max_delay, config.governor.aggregation_delta,
+      static_cast<SimDuration>(config.topology.providers *
+                               config.txs_per_provider_per_round) *
+          kMillisecond,
+      config.governor.enable_label_gossip);
+}
+
 SystemModel SystemModel::build(const ScenarioConfig& config,
                                const Rng& scenario_rng) {
   SystemModel m;
@@ -17,13 +26,7 @@ SystemModel SystemModel::build(const ScenarioConfig& config,
 
   const auto& topo = config.topology;
 
-  // Phase deadlines for the self-driving rounds, keyed to the synchrony
-  // bound Delta and the collecting-phase span.
-  m.timing = protocol::RoundTiming::derive(
-      config.latency.max_delay, config.governor.aggregation_delta,
-      static_cast<SimDuration>(topo.providers * config.txs_per_provider_per_round) *
-          kMillisecond,
-      config.governor.enable_label_gossip);
+  m.timing = round_timing(config);
 
   // Node ids and identities for every member: sequential flat ids in
   // provider, collector, governor order (the order SimNetwork::add_node

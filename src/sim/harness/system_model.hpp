@@ -37,6 +37,10 @@ namespace salt {
 [[nodiscard]] constexpr std::uint64_t audit(Round round) { return 20'000 + round; }
 }  // namespace salt
 
+/// The round schedule of a run of `config` (normalized): its phase deadlines,
+/// keyed to the synchrony bound Delta and the collecting-phase span.
+[[nodiscard]] protocol::RoundTiming round_timing(const ScenarioConfig& config);
+
 struct SystemModel {
   std::unique_ptr<identity::IdentityManager> im;
   protocol::Directory directory;

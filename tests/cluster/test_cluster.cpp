@@ -5,9 +5,10 @@
 // driven from hand-crafted welcomes, against lockstep and free-running nodes
 // alike, and RemoteGovernors' validation of node replies from hand-crafted
 // replies.
-// The free-running cluster's crash-plan vocabulary, session-resume welcome
-// and the launcher's respawn admission check are covered here too; its
-// multi-process kill/restart runs are the cluster_* ctest entries.
+// The free-running cluster's crash-plan parsing and kill instant, its node
+// reads, session-resume welcome and the launcher's respawn admission check
+// are covered here too; its multi-process kill/restart runs are the
+// cluster_* ctest entries.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -31,6 +32,7 @@
 #include "runtime/loopback.hpp"
 #include "sim/harness/run_codec.hpp"
 #include "sim/harness/spec_codec.hpp"
+#include "sim/harness/system_model.hpp"
 
 namespace repchain::cluster {
 namespace {
@@ -309,18 +311,38 @@ TEST(Cluster, SyncConnRecvTimeoutIsPeerTimeout) {
   ::close(node_fd);
 }
 
-TEST(Cluster, HeadInfoCodecRoundTrip) {
-  HeadInfo h;
-  h.serial = 12;
-  h.hash[0] = 0xAA;
-  h.hash[31] = 0x55;
-  h.committed_txs = 340;
-  h.incarnation = 2;
-  const HeadInfo d = decode_head(encode_head(h));
-  EXPECT_EQ(d.serial, h.serial);
-  EXPECT_EQ(d.hash, h.hash);
-  EXPECT_EQ(d.committed_txs, h.committed_txs);
-  EXPECT_EQ(d.incarnation, h.incarnation);
+TEST(Cluster, LockstepRunRefusesACrashSchedule) {
+  sim::ScenarioConfig config = small_config();
+  sim::CrashPlan plan;
+  plan.governor = 1;
+  plan.crash_round = 1;
+  plan.restart_round = 2;
+  config.crashes = {plan};
+  RemoteGovernors remote({});  // refused before any connection is used
+  EXPECT_THROW((void)sim::simulate_run(config, &remote), ConfigError);
+}
+
+TEST(Cluster, FreeNodeServesTheLockstepReads) {
+  const sim::ScenarioConfig config = free_run_config(small_config());
+  const crypto::Hash256 genesis = genesis_of(config);
+  const auto [driver_fd, node_fd] = stream_pair();
+  HostThread node(node_host(config, 0, node_fd, /*free_run=*/true));
+
+  SyncConn conn(driver_fd);
+  (void)handshake(conn, driver_welcome(genesis), genesis);
+  conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kQueryState), {});
+  const wire::Frame state = conn.recv_frame();
+  ASSERT_EQ(state.type, static_cast<std::uint16_t>(ClusterPacket::kState));
+  EXPECT_EQ(decode_state(state.payload).head_serial, 0u);  // not started
+  conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kSnapshot), {});
+  const wire::Frame chain = conn.recv_frame();
+  ASSERT_EQ(chain.type, static_cast<std::uint16_t>(ClusterPacket::kSnapshotData));
+  EXPECT_TRUE(decode_snapshot(chain.payload).empty());
+
+  conn.send_frame(static_cast<std::uint16_t>(ClusterPacket::kShutdown), {});
+  (void)conn.recv_frame();
+  node.join();
+  EXPECT_EQ(node.error, wire::ProtocolError::kNone);
 }
 
 TEST(Cluster, RestartedNodeAnnouncesSessionResume) {
@@ -431,20 +453,30 @@ TEST(Cluster, RespawnRefusesAWelcomeThatIsNotTheReturningNode) {
 }
 
 TEST(Cluster, CrashPlanParsesCanonicalSpec) {
-  CrashPlan plan;
+  sim::CrashPlan plan;
   ASSERT_TRUE(parse_crash_plan("1@2:4", plan));
-  EXPECT_EQ(plan.victim, 1u);
-  EXPECT_EQ(plan.kill_round, 2u);
+  EXPECT_EQ(plan.governor, 1u);
+  EXPECT_EQ(plan.crash_round, 2u);
   EXPECT_EQ(plan.restart_round, 4u);
 
   ASSERT_TRUE(parse_crash_plan("12@3:15", plan));
-  EXPECT_EQ(plan.victim, 12u);
-  EXPECT_EQ(plan.kill_round, 3u);
+  EXPECT_EQ(plan.governor, 12u);
+  EXPECT_EQ(plan.crash_round, 3u);
   EXPECT_EQ(plan.restart_round, 15u);
 }
 
+TEST(Cluster, KillsFireAsTheCollectingPhaseOpens) {
+  const sim::ScenarioConfig config = with_kills(
+      free_run_config(small_config()),
+      {{.governor = 1, .crash_round = 1, .restart_round = 2}});
+  ASSERT_EQ(config.crashes.size(), 1u);
+  const sim::SystemModel model = sim::SystemModel::build(config, Rng(config.seed));
+  EXPECT_GT(model.timing.workload_offset, 0u);
+  EXPECT_EQ(config.crashes[0].crash_offset, model.timing.workload_offset);
+}
+
 TEST(Cluster, CrashPlanRejectsMalformedSpecs) {
-  CrashPlan plan;
+  sim::CrashPlan plan;
   const char* bad[] = {
       "",        "1",      "1@2",    "@2:3",   "1@:3",    "1@2:",
       "x@2:3",   "1@x:3",  "1@2:x",  "1x@2:3", "1@2x:3",  "1@2:3x",
@@ -458,35 +490,9 @@ TEST(Cluster, CrashPlanRejectsMalformedSpecs) {
   }
 }
 
-TEST(Cluster, ValidateCrashPlansRejectsInconsistentSchedules) {
-  const std::size_t governors = 4;
-  const Round rounds = 5;
-  const auto plan = [](std::size_t v, Round k, Round r) {
-    return CrashPlan{v, k, r};
-  };
-
-  // Overlapping multi-victim windows — including quorum-breaking ones — are
-  // exactly what the free-running mode exercises; they must validate.
-  EXPECT_NO_THROW(validate_crash_plans({plan(1, 2, 4), plan(2, 2, 3)},
-                                       governors, rounds));
-  EXPECT_NO_THROW(validate_crash_plans({}, governors, rounds));
-
-  EXPECT_THROW(validate_crash_plans({plan(1, 2, 3), plan(1, 4, 5)},
-                                    governors, rounds),
-               ConfigError);  // same victim scheduled twice
-  EXPECT_THROW(validate_crash_plans({plan(4, 2, 3)}, governors, rounds),
-               ConfigError);  // victim index out of range
-  EXPECT_THROW(validate_crash_plans({plan(0, 0, 2)}, governors, rounds),
-               ConfigError);  // kill round 0
-  EXPECT_THROW(validate_crash_plans({plan(0, 6, 7)}, governors, rounds),
-               ConfigError);  // kill round past the configured rounds
-  EXPECT_THROW(validate_crash_plans({plan(0, 3, 3)}, governors, rounds),
-               ConfigError);  // restart not strictly after kill
-}
-
 TEST(Cluster, MinLiveGovernorsTracksOverlappingWindows) {
   const auto plan = [](std::size_t v, Round k, Round r) {
-    return CrashPlan{v, k, r};
+    return sim::CrashPlan{.governor = v, .crash_round = k, .restart_round = r};
   };
 
   EXPECT_EQ(min_live_governors({}, 4, 5), 4u);
@@ -497,12 +503,12 @@ TEST(Cluster, MinLiveGovernorsTracksOverlappingWindows) {
 
   // Two overlapping windows on 4 governors: round 2 has both victims down
   // (2 live < quorum 3), round 3 has victim 2 back but victim 1 still out.
-  const std::vector<CrashPlan> overlap = {plan(1, 2, 4), plan(2, 2, 3)};
+  const std::vector<sim::CrashPlan> overlap = {plan(1, 2, 4), plan(2, 2, 3)};
   EXPECT_EQ(min_live_governors(overlap, 4, 5), 2u);
   EXPECT_LT(min_live_governors(overlap, 4, 5), election_quorum(4));
 
   // Disjoint windows never stack: one dead at a time.
-  const std::vector<CrashPlan> disjoint = {plan(0, 1, 2), plan(1, 3, 4)};
+  const std::vector<sim::CrashPlan> disjoint = {plan(0, 1, 2), plan(1, 3, 4)};
   EXPECT_EQ(min_live_governors(disjoint, 4, 5), 3u);
 
   EXPECT_EQ(election_quorum(1), 1u);

@@ -1,7 +1,8 @@
-// Robustness sweep: every wire decoder must survive arbitrary byte strings
-// by throwing DecodeError (or succeeding), never crashing, looping, or
-// throwing anything else. Seeds are parameterized; each seed drives random
-// buffers of varied sizes plus mutation fuzz over valid encodings.
+// Robustness sweep: every wire decoder — and the config decoder a node
+// process runs on its config blob — must survive arbitrary byte strings by
+// throwing DecodeError (or succeeding), never crashing, looping, or throwing
+// anything else. Seeds are parameterized; each seed drives random buffers of
+// varied sizes plus mutation fuzz over valid encodings.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "protocol/leader_election.hpp"
 #include "protocol/messages.hpp"
 #include "protocol/stake.hpp"
+#include "sim/harness/spec_codec.hpp"
 #include "storage/wal_format.hpp"
 
 namespace repchain {
@@ -44,7 +46,31 @@ std::vector<std::pair<const char*, DecoderFn>> decoders() {
       {"StateCommitMsg", [](BytesView d) { (void)protocol::StateCommitMsg::decode(d); }},
       {"ExpelMsg", [](BytesView d) { (void)protocol::ExpelMsg::decode(d); }},
       {"StakeLedger", [](BytesView d) { (void)protocol::StakeLedger::decode(d); }},
+      {"ScenarioConfig", [](BytesView d) { (void)sim::decode_config(d); }},
   };
+}
+
+/// A config whose encoding exercises every variable-length section: collector
+/// behaviours with per-provider overrides, genesis stakes and a crash list.
+sim::ScenarioConfig fuzz_config() {
+  sim::ScenarioConfig cfg;
+  cfg.topology = {6, 3, 3, 2};
+  cfg.rounds = 5;
+  cfg.behaviors = {protocol::CollectorBehavior::honest(),
+                   protocol::CollectorBehavior::misreporting(0.25)};
+  cfg.behaviors[1].flip_by_provider = {{2, 0.5}};
+  cfg.governor_stakes = {3, 2, 1};
+  sim::CrashPlan first;
+  first.governor = 1;
+  first.crash_round = 2;
+  first.crash_offset = 100 * kMillisecond;
+  first.restart_round = 4;
+  sim::CrashPlan second = first;
+  second.governor = 2;
+  second.restart_round = 3;
+  cfg.crashes = {first, second};
+  sim::normalize_config(cfg);
+  return cfg;
 }
 
 /// Run a decoder on `data`; pass iff it returns or throws DecodeError.
@@ -103,6 +129,8 @@ TEST_P(DecodeFuzz, MutatedValidEncodingsAreHandledGracefully) {
        [](BytesView d) { (void)protocol::VrfAnnounceMsg::decode(d); }},
       {"StakeTxMsg", stake_tx.encode(),
        [](BytesView d) { (void)protocol::StakeTxMsg::decode(d); }},
+      {"ScenarioConfig", sim::encode_config(fuzz_config()),
+       [](BytesView d) { (void)sim::decode_config(d); }},
   };
 
   for (const auto& c : cases) {

@@ -55,11 +55,6 @@ std::vector<std::pair<const char*, DecoderFn>> decoders() {
       {"decode_reveal", [](BytesView d) { (void)cluster::decode_reveal(d); }},
       {"decode_free_start",
        [](BytesView d) { (void)cluster::decode_free_start(d); }},
-      {"decode_free_stats",
-       [](BytesView d) { (void)cluster::decode_free_stats(d); }},
-      {"decode_block_at", [](BytesView d) { (void)cluster::decode_block_at(d); }},
-      {"decode_block_hash",
-       [](BytesView d) { (void)cluster::decode_block_hash(d); }},
   };
 }
 
@@ -138,16 +133,13 @@ TEST_P(WireFuzz, MutatedValidEncodingsAreHandledGracefully) {
   sim::GovernorState state;
   state.leader = GovernorId(1);
   state.expected_loss = 0.25;
+  state.watchdog_trips = 2;
   state.validations = 7;
   state.head_serial = 3;
   state.head_hash[0] = 0x5a;
   state.shares = {{CollectorId(1), 0.5}, {CollectorId(2), 0.25}};
   state.unrevealed = {ledger::TxId{}, ledger::TxId{}};
   state.unrevealed[1][0] = 0x7f;
-
-  cluster::FreeRunStats stats;
-  stats.head = {.serial = 4, .committed_txs = 40, .incarnation = 1};
-  stats.current_round = 5;
 
   crypto::SigningKey key(crypto::random_seed(rng));
   std::vector<ledger::Block> snap;
@@ -191,12 +183,6 @@ TEST_P(WireFuzz, MutatedValidEncodingsAreHandledGracefully) {
        [](BytesView d) { (void)cluster::decode_arm_round(d); }},
       {"decode_free_start", cluster::encode_free_start({3, 250'000}),
        [](BytesView d) { (void)cluster::decode_free_start(d); }},
-      {"decode_free_stats", cluster::encode_free_stats(stats),
-       [](BytesView d) { (void)cluster::decode_free_stats(d); }},
-      {"decode_block_at", cluster::encode_block_at(9),
-       [](BytesView d) { (void)cluster::decode_block_at(d); }},
-      {"decode_block_hash", cluster::encode_block_hash({3, true, {}}),
-       [](BytesView d) { (void)cluster::decode_block_hash(d); }},
   };
 
   for (const auto& c : cases) {

@@ -1,8 +1,10 @@
 // Canonical config codec behind the cluster handshake: byte-stable encode /
-// decode round trips, the genesis identity derived from them, and the
-// cluster-runnability gate for features only an in-process run can host.
+// decode round trips (crash schedules included), the genesis identity
+// derived from them, the cluster-runnability gate for features only an
+// in-process run can host, and normalize_config's validation.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/errors.hpp"
@@ -66,17 +68,6 @@ TEST(SpecCodec, TruncatedBlobIsRejected) {
   Bytes blob = encode_config(cfg);
   blob.resize(blob.size() / 2);
   EXPECT_THROW((void)decode_config(blob), DecodeError);
-}
-
-TEST(SpecCodec, ClusterGateRejectsCrashPlans) {
-  ScenarioConfig cfg = rich_config();
-  CrashPlan plan;
-  plan.governor = 1;
-  plan.crash_round = 2;
-  plan.restart_round = 3;
-  cfg.crashes.push_back(plan);
-  EXPECT_THROW(require_cluster_runnable(cfg), ConfigError);
-  EXPECT_THROW((void)encode_config(cfg), ConfigError);
 }
 
 TEST(SpecCodec, ClusterGateRejectsDurableGovernors) {
@@ -185,6 +176,60 @@ CrashPlan crash(std::size_t governor, std::size_t crash_round,
   plan.crash_round = crash_round;
   plan.restart_round = restart_round;
   return plan;
+}
+
+TEST(SpecCodec, CrashListRoundTripsByteStably) {
+  // The free-running cluster executes crash schedules, so the cluster gate
+  // admits them and the encoding carries them, offsets included.
+  ScenarioConfig cfg = rich_config();
+  cfg.crashes = {crash(1, 2, 4), crash(2, 2, 3)};
+  cfg.crashes[0].crash_offset = 250 * kMillisecond;
+  normalize_config(cfg);
+  EXPECT_NO_THROW(require_cluster_runnable(cfg));
+  const Bytes blob = encode_config(cfg);
+  const ScenarioConfig back = decode_config(blob);
+  ASSERT_EQ(back.crashes.size(), 2u);
+  EXPECT_EQ(back.crashes[0].governor, 1u);
+  EXPECT_EQ(back.crashes[0].crash_round, 2u);
+  EXPECT_EQ(back.crashes[0].crash_offset, 250 * kMillisecond);
+  EXPECT_EQ(back.crashes[0].restart_round, 4u);
+  EXPECT_EQ(back.crashes[1].governor, 2u);
+  EXPECT_EQ(encode_config(back), blob);
+}
+
+TEST(SpecCodec, GenesisIsCrashListSensitive) {
+  // Observer and nodes must run one schedule: two configs differing only in
+  // their crash lists never admit each other.
+  const ScenarioConfig none = rich_config();
+  ScenarioConfig one = rich_config();
+  one.crashes = {crash(1, 2, 4)};
+  ScenarioConfig later = rich_config();
+  later.crashes = {crash(1, 3, 4)};
+  ScenarioConfig offset = one;
+  offset.crashes[0].crash_offset = 1;
+  EXPECT_NE(config_genesis(none), config_genesis(one));
+  EXPECT_NE(config_genesis(one), config_genesis(later));
+  EXPECT_NE(config_genesis(one), config_genesis(offset));
+}
+
+TEST(SpecCodec, NormalizeValidatesCrashSchedules) {
+  // rich_config: 3 governors, 4 rounds. Index, round-0 and restart order are
+  // covered by the tests below; these are the schedule-level rules.
+  const auto normalized = [](std::vector<CrashPlan> crashes) {
+    ScenarioConfig cfg = rich_config();
+    cfg.crashes = std::move(crashes);
+    normalize_config(cfg);
+  };
+  // Overlapping multi-victim windows — including quorum-breaking ones — are
+  // exactly what the free-running cluster exercises; they must validate.
+  EXPECT_NO_THROW(normalized({crash(1, 2, 4), crash(2, 2, 3)}));
+  EXPECT_NO_THROW(normalized({}));
+  EXPECT_NO_THROW(normalized({crash(0, 4, 9)}));  // restart may fall past the run
+
+  EXPECT_THROW(normalized({crash(1, 1, 2), crash(1, 3, 4)}),
+               ConfigError);  // same governor scheduled twice
+  EXPECT_THROW(normalized({crash(0, 5, 6)}),
+               ConfigError);  // crash round past the configured rounds
 }
 
 TEST(SpecCodec, NormalizeRejectsPlanIndicesPastTheTopology) {

@@ -12,10 +12,10 @@
 // peer-to-peer (see src/cluster/free_run.hpp); the driver becomes an
 // observer enforcing the statistical convergence contract. This is the
 // fault-tolerance mode: nodes persist their state, the driver SIGKILLs
-// victims mid-round per the crash schedule and respawns each against its
-// on-disk WAL/snapshot as a higher incarnation. Overlapping kills that
-// transiently drop the committee below election quorum must stall safely
-// (watchdog trips, no fork) and recover after the respawns.
+// victims as their crash round's collecting phase opens and respawns each
+// against its on-disk WAL/snapshot as a higher incarnation. Overlapping
+// kills that transiently drop the committee below election quorum must
+// stall safely (watchdog trips, no fork) and recover after the respawns.
 //
 //   cluster_driver [--scenario=mixed|gossip] [--artifact-dir=<dir>]
 //                  [--mode=lockstep|free]
@@ -25,7 +25,10 @@
 //                  [--grace=<rounds>]
 //
 // Every flag after --mode applies to free mode only. --kill may repeat (one
-// victim each; windows may overlap). --node-port points the children at a
+// victim each; windows may overlap); the kills become the run's spec crash
+// schedule (ScenarioConfig::crashes). Ports must lie in [0, 65535] (0 =
+// ephemeral) and --grace must be a round count >= 0; a malformed or
+// out-of-range value exits 2. --node-port points the children at a
 // different dial port (a wire_proxy interposed between nodes and driver);
 // admission still happens on the driver's own listener, which the proxy
 // forwards to. --peer-base sets the first port of the node-to-node mesh:
@@ -41,10 +44,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,14 +121,27 @@ sim::RunResult cluster_run(const Golden& golden) {
 }
 
 /// Render a crash schedule for log lines and failure artifacts.
-std::string render_plans(const std::vector<cluster::CrashPlan>& plans) {
+std::string render_plans(const std::vector<sim::CrashPlan>& plans) {
   std::string out;
-  for (const cluster::CrashPlan& p : plans) {
+  for (const sim::CrashPlan& p : plans) {
     if (!out.empty()) out += ' ';
-    out += std::to_string(p.victim) + '@' + std::to_string(p.kill_round) +
+    out += std::to_string(p.governor) + '@' + std::to_string(p.crash_round) +
            ':' + std::to_string(p.restart_round);
   }
   return out.empty() ? "none" : out;
+}
+
+/// Parse all of `text` as a decimal integer in [lo, hi] into `out`.
+bool parse_in_range(const char* text, long lo, long hi, long& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 void print_degradation(const char* name, const cluster::DegradationReport& d,
@@ -138,16 +157,17 @@ void print_degradation(const char* name, const cluster::DegradationReport& d,
 
 /// Run one golden in free-running mode: every node self-drives rounds on a
 /// real monotonic clock over a peer mesh while the observer injects the
-/// workload, executes the crash schedule and enforces the statistical
-/// convergence contract (see src/cluster/free_run.hpp).
-int free_run(const Golden& golden,
-             const std::vector<cluster::CrashPlan>& plans,
+/// workload, executes the `kills` crash schedule and enforces the
+/// statistical convergence contract (see src/cluster/free_run.hpp).
+int free_run(const Golden& golden, const std::vector<sim::CrashPlan>& kills,
              const std::string& artifact_dir,
              const cluster::LocalCluster::Deployment& deployment, Round grace) {
-  const sim::ScenarioConfig config = cluster::free_run_config(golden.config);
+  const sim::ScenarioConfig config =
+      cluster::with_kills(cluster::free_run_config(golden.config), kills);
+  const std::vector<sim::CrashPlan>& plans = config.crashes;
   const std::size_t governors = config.topology.governors;
   cluster::LocalCluster nodes(config, deployment);
-  cluster::FreeRunDriver driver(config, nodes, plans, grace);
+  cluster::FreeRunDriver driver(config, nodes, grace);
   const std::size_t quorum = cluster::election_quorum(governors);
   const std::size_t min_live =
       cluster::min_live_governors(plans, governors, config.rounds);
@@ -194,15 +214,16 @@ int free_run(const Golden& golden,
       << report.head_hash_hex << " committed " << report.committed_txs
       << " reference " << report.reference_txs << " band ["
       << report.tolerance_lo << ", " << report.tolerance_hi << "]\n";
-  for (std::size_t i = 0; i < report.node_stats.size(); ++i) {
-    const cluster::FreeRunStats& s = report.node_stats[i];
-    out << "node " << i << ": head serial " << s.head.serial << " txs "
-        << s.head.committed_txs << " incarnation " << s.head.incarnation
-        << " round " << s.current_round << " started " << s.rounds_started
-        << " stalls " << s.stalled_events << " watchdog " << s.watchdog_trips
-        << " delivery_failures " << s.delivery_failures << " reconnects "
-        << s.reconnects << " accepted " << s.blocks_accepted << " synced "
-        << s.blocks_synced << "\n";
+  for (std::size_t i = 0; i < report.node_states.size(); ++i) {
+    const std::optional<sim::GovernorState>& s = report.node_states[i];
+    out << "node " << i << ": ";
+    if (!s) {
+      out << "dead\n";
+      continue;
+    }
+    out << "head serial " << s->head_serial << " hash "
+        << to_hex(view(s->head_hash)) << " watchdog " << s->watchdog_trips
+        << "\n";
   }
   std::fprintf(stderr, "%-8s FREE-RUN FAILED — report written to %s\n",
                golden.name, path.c_str());
@@ -216,7 +237,7 @@ int main(int argc, char** argv) {
   std::string artifact_dir = ".";
   std::string mode = "lockstep";
   std::string state_root;
-  std::vector<cluster::CrashPlan> kills;  // one --kill each; may overlap
+  std::vector<sim::CrashPlan> kills;  // one --kill each; may overlap
   long listen_port = 0;
   long node_port = 0;
   // Mesh base port: PID-derived default keeps concurrent local runs apart;
@@ -232,7 +253,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--mode=", 0) == 0) {
       mode = arg.substr(7);
     } else if (arg.rfind("--kill=", 0) == 0) {
-      cluster::CrashPlan plan;
+      sim::CrashPlan plan;
       if (!cluster::parse_crash_plan(arg.substr(7), plan)) {
         std::fprintf(stderr, "bad --kill spec (want v@kill:restart, "
                              "restart > kill > 0)\n");
@@ -242,13 +263,25 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--state-root=", 0) == 0) {
       state_root = arg.substr(13);
     } else if (arg.rfind("--listen-port=", 0) == 0) {
-      listen_port = std::strtol(arg.c_str() + 14, nullptr, 10);
+      if (!parse_in_range(arg.c_str() + 14, 0, 65535, listen_port)) {
+        std::fprintf(stderr, "--listen-port out of range\n");
+        return 2;
+      }
     } else if (arg.rfind("--node-port=", 0) == 0) {
-      node_port = std::strtol(arg.c_str() + 12, nullptr, 10);
+      if (!parse_in_range(arg.c_str() + 12, 0, 65535, node_port)) {
+        std::fprintf(stderr, "--node-port out of range\n");
+        return 2;
+      }
     } else if (arg.rfind("--peer-base=", 0) == 0) {
-      peer_base = std::strtol(arg.c_str() + 12, nullptr, 10);
+      if (!parse_in_range(arg.c_str() + 12, 1, 65535 - 64, peer_base)) {
+        std::fprintf(stderr, "--peer-base out of range\n");
+        return 2;
+      }
     } else if (arg.rfind("--grace=", 0) == 0) {
-      grace = std::strtol(arg.c_str() + 8, nullptr, 10);
+      if (!parse_in_range(arg.c_str() + 8, 0, LONG_MAX, grace)) {
+        std::fprintf(stderr, "--grace must be a round count >= 0\n");
+        return 2;
+      }
     } else {
       std::fprintf(stderr,
                    "usage: cluster_driver [--scenario=mixed|gossip] "
@@ -258,10 +291,6 @@ int main(int argc, char** argv) {
                    "[--peer-base=<p>] [--grace=<rounds>]\n");
       return 2;
     }
-  }
-  if (peer_base <= 0 || peer_base > 65535 - 64) {
-    std::fprintf(stderr, "--peer-base out of range\n");
-    return 2;
   }
   ::alarm(600);  // hard stop: a wedged cluster must not hang CI forever
 
