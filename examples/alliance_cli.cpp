@@ -6,13 +6,15 @@
 //                [--equivocators N] [--gossip] [--visibility F] [--quiet]
 //
 // Remaining collectors are honest. Prints the scenario summary, per-governor
-// screening statistics and the collector standings.
+// screening statistics and the collector standings. An unknown flag or a
+// malformed or out-of-range value prints the usage and exits 2.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/flag_parse.hpp"
 #include "sim/scenario.hpp"
 
 using namespace repchain;
@@ -44,11 +46,6 @@ namespace {
   std::exit(2);
 }
 
-double parse_double(const char* s) { return std::strtod(s, nullptr); }
-std::size_t parse_size(const char* s) {
-  return static_cast<std::size_t>(std::strtoull(s, nullptr, 10));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,39 +63,50 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Counts are integers (topology tiers >= 1); p-valid, f, beta and
+    // visibility are fractions in [0, 1].
+    auto value = [&](const char* flag, auto lo, auto hi) {
+      const char* text = need_value(flag);
+      decltype(lo) out{};
+      if (!parse_in_range(text, lo, hi, out)) {
+        std::fprintf(stderr, "bad value for %s: %s\n", flag, text);
+        usage(argv[0]);
+      }
+      return out;
+    };
     const std::string arg = argv[i];
     if (arg == "--providers") {
-      cfg.topology.providers = parse_size(need_value("--providers"));
+      cfg.topology.providers = value("--providers", 1L, LONG_MAX);
     } else if (arg == "--collectors") {
-      cfg.topology.collectors = parse_size(need_value("--collectors"));
+      cfg.topology.collectors = value("--collectors", 1L, LONG_MAX);
     } else if (arg == "--governors") {
-      cfg.topology.governors = parse_size(need_value("--governors"));
+      cfg.topology.governors = value("--governors", 1L, LONG_MAX);
     } else if (arg == "--r") {
-      cfg.topology.r = parse_size(need_value("--r"));
+      cfg.topology.r = value("--r", 1L, LONG_MAX);
     } else if (arg == "--rounds") {
-      cfg.rounds = parse_size(need_value("--rounds"));
+      cfg.rounds = value("--rounds", 0L, LONG_MAX);
     } else if (arg == "--txs") {
-      cfg.txs_per_provider_per_round = parse_size(need_value("--txs"));
+      cfg.txs_per_provider_per_round = value("--txs", 0L, LONG_MAX);
     } else if (arg == "--p-valid") {
-      cfg.p_valid = parse_double(need_value("--p-valid"));
+      cfg.p_valid = value("--p-valid", 0.0, 1.0);
     } else if (arg == "--f") {
-      cfg.governor.rep.f = parse_double(need_value("--f"));
+      cfg.governor.rep.f = value("--f", 0.0, 1.0);
     } else if (arg == "--beta") {
-      cfg.governor.rep.beta = parse_double(need_value("--beta"));
+      cfg.governor.rep.beta = value("--beta", 0.0, 1.0);
     } else if (arg == "--seed") {
-      cfg.seed = parse_size(need_value("--seed"));
+      cfg.seed = value("--seed", 0L, LONG_MAX);
     } else if (arg == "--adversaries") {
-      adversaries = parse_size(need_value("--adversaries"));
+      adversaries = value("--adversaries", 0L, LONG_MAX);
     } else if (arg == "--concealers") {
-      concealers = parse_size(need_value("--concealers"));
+      concealers = value("--concealers", 0L, LONG_MAX);
     } else if (arg == "--forgers") {
-      forgers = parse_size(need_value("--forgers"));
+      forgers = value("--forgers", 0L, LONG_MAX);
     } else if (arg == "--equivocators") {
-      equivocators = parse_size(need_value("--equivocators"));
+      equivocators = value("--equivocators", 0L, LONG_MAX);
     } else if (arg == "--gossip") {
       cfg.enable_label_gossip = true;
     } else if (arg == "--visibility") {
-      cfg.governor_visibility = parse_double(need_value("--visibility"));
+      cfg.governor_visibility = value("--visibility", 0.0, 1.0);
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

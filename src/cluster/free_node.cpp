@@ -78,9 +78,6 @@ FreeNodeHost::FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_inde
     // catch-up sync itself starts when the driver's kFreeStart arrives.
     governor_->recover_from_store();
   }
-  if (incarnation_ > 0) {
-    transport_.set_resume(incarnation_, governor_->chain().height());
-  }
   transport_.set_trace_sink(&log_);
   // A healed link refreshes the retry budget of every in-flight envelope
   // addressed to the returning peer — without this, a crash window longer

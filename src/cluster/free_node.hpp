@@ -73,7 +73,8 @@ class FreeNodeHost {
   /// crash). `state_dir` (optional) attaches a FileStateStore so every
   /// commit is durable; `incarnation` > 0 marks a restarted process: it
   /// replays snapshot + WAL, announces session resume with the recovered
-  /// chain head, and runs its ReliableChannel under the incarnation epoch.
+  /// chain head in its driver welcome, and runs its ReliableChannel under
+  /// the incarnation epoch.
   FreeNodeHost(sim::ScenarioConfig config, std::size_t governor_index,
                std::uint16_t peer_base, const std::string& state_dir = "",
                std::uint32_t incarnation = 0);

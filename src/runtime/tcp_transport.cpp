@@ -191,9 +191,6 @@ void TcpTransport::start_handshake(Conn& conn) {
   w.role = wire::Role::kPeer;
   w.hosted = local_ids_;
   w.nonce = nonce_;
-  w.resume = resume_;
-  w.incarnation = incarnation_;
-  w.head_serial = head_serial_;
   queue_frame(conn, static_cast<std::uint16_t>(wire::PacketType::kWelcome),
               wire::encode_welcome(w));
 }

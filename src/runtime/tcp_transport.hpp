@@ -106,15 +106,6 @@ class TcpTransport final : public Transport {
     reconnect_hook_ = std::move(hook);
   }
 
-  /// v2 session resume: every subsequent welcome announces this endpoint as
-  /// a returning incarnation with the given recovered chain head, letting
-  /// peers re-admit it instead of treating it as a stranger.
-  void set_resume(std::uint32_t incarnation, std::uint64_t head_serial) {
-    resume_ = true;
-    incarnation_ = incarnation;
-    head_serial_ = head_serial;
-  }
-
   /// Bind + listen on loopback (`port` 0 picks an ephemeral port). Returns
   /// the actual bound port. Throws NetError on socket failure.
   std::uint16_t listen(std::uint16_t port);
@@ -214,9 +205,6 @@ class TcpTransport final : public Transport {
   TraceSink* trace_ = nullptr;
   std::uint64_t nonce_ = 0;
   std::uint64_t jitter_state_ = 0;
-  bool resume_ = false;
-  std::uint32_t incarnation_ = 0;
-  std::uint64_t head_serial_ = 0;
   int listen_fd_ = -1;
   std::vector<Dial> dials_;
   // Timer callbacks (reconnect, heartbeat) may outlive the transport in the

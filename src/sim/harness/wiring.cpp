@@ -62,7 +62,6 @@ Wiring::Wiring(ScenarioConfig& config, const Rng& rng, runtime::EventLoop& queue
   shard_directories_ = std::move(model.shard_directories);
   shard_genesis_ = std::move(model.shard_genesis);
   timing_ = model.timing;
-  genesis_ = std::move(model.genesis);
   governor_visible_ = std::move(model.governor_visible);
   std::vector<crypto::SigningKey> provider_keys = std::move(model.provider_keys);
   std::vector<crypto::SigningKey> collector_keys = std::move(model.collector_keys);

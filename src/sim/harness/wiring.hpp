@@ -126,11 +126,10 @@ struct Wiring {
   std::deque<protocol::Collector> collectors_;
   std::deque<std::unique_ptr<protocol::Governor>> governors_;
 
-  // Rebuild material for crashed governors: their signing keys, genesis
-  // stake, partial-visibility views, and (outliving the governor objects)
-  // their durable stores.
+  // Rebuild material for crashed governors: their signing keys,
+  // partial-visibility views, and (outliving the governor objects) their
+  // durable stores; their genesis stake is `shard_genesis_`.
   std::vector<crypto::SigningKey> governor_keys_;
-  protocol::StakeLedger genesis_;
   std::vector<std::vector<CollectorId>> governor_visible_;
   std::deque<std::unique_ptr<storage::NodeStateStore>> governor_stores_;
   // ReliableChannel incarnation per governor, bumped on every restart so the

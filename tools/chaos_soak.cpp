@@ -28,16 +28,20 @@
 // The schedule is a pure function of the seed, so a CI failure reproduces
 // locally with `chaos_soak [--byzantine] --base-seed=<seed>
 // --chaos-seeds=1`. Exit code is the number of failing seeds (0 = all
-// clean).
+// clean); an unknown flag or a malformed or out-of-range value prints the
+// usage and exits 2.
 
 #include <algorithm>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/flag_parse.hpp"
 #include "common/rng.hpp"
 #include "sim/parallel_sweep.hpp"
 #include "sim/scenario.hpp"
@@ -70,10 +74,26 @@ void appendf(std::string& out, const char* fmt, ...) {
   if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
 }
 
-bool parse_u64(const char* arg, const char* prefix, std::uint64_t& out) {
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: chaos_soak [--byzantine] [--chaos-seeds=N (1..100000)] "
+               "[--base-seed=S] [--rounds=R (>= 6)] "
+               "[--jobs=N (0..256, 0 = one per core)]\n");
+  std::exit(2);
+}
+
+/// True when `arg` is `prefix` followed by a value; the value must be an
+/// integer in [lo, hi] or the run stops with the usage.
+template <typename T>
+bool int_flag(const char* arg, const char* prefix, long lo, long hi, T& out) {
   const std::size_t n = std::strlen(prefix);
   if (std::strncmp(arg, prefix, n) != 0) return false;
-  out = std::strtoull(arg + n, nullptr, 10);
+  long value = 0;
+  if (!parse_in_range(arg + n, lo, hi, value)) {
+    std::fprintf(stderr, "chaos_soak: bad value in %s\n", arg);
+    usage();
+  }
+  out = static_cast<T>(value);
   return true;
 }
 
@@ -561,27 +581,19 @@ SeedResult run_seed(const Options& opt, std::uint64_t index) {
 int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    if (parse_u64(argv[i], "--chaos-seeds=", opt.seeds)) continue;
-    if (parse_u64(argv[i], "--base-seed=", opt.base_seed)) continue;
-    if (parse_u64(argv[i], "--jobs=", opt.jobs)) continue;
     if (std::strcmp(argv[i], "--byzantine") == 0) {
       opt.byzantine = true;
       continue;
     }
-    std::uint64_t rounds = 0;
-    if (parse_u64(argv[i], "--rounds=", rounds)) {
-      opt.rounds = static_cast<std::size_t>(rounds);
+    // Fault windows heal by round `rounds - 3`, so a soak needs 6 rounds.
+    if (int_flag(argv[i], "--chaos-seeds=", 1, 100000, opt.seeds) ||
+        int_flag(argv[i], "--base-seed=", 0, LONG_MAX, opt.base_seed) ||
+        int_flag(argv[i], "--rounds=", 6, LONG_MAX, opt.rounds) ||
+        int_flag(argv[i], "--jobs=", 0, 256, opt.jobs)) {
       continue;
     }
-    std::fprintf(stderr,
-                 "usage: chaos_soak [--byzantine] [--chaos-seeds=N] "
-                 "[--base-seed=S] [--rounds=R] [--jobs=N]\n");
-    return 2;
-  }
-  if (opt.rounds < 6) {
-    std::fprintf(stderr, "chaos_soak: --rounds must be >= 6 (fault windows "
-                         "heal by rounds - 3)\n");
-    return 2;
+    std::fprintf(stderr, "chaos_soak: unknown flag %s\n", argv[i]);
+    usage();
   }
 
   std::printf("chaos_soak: %s%llu seed(s) from %llu, %zu rounds each\n",

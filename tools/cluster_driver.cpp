@@ -44,11 +44,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cinttypes>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -57,6 +55,7 @@
 #include "cluster/driver.hpp"
 #include "cluster/free_run.hpp"
 #include "cluster/local_cluster.hpp"
+#include "common/flag_parse.hpp"
 #include "sim/harness/run_codec.hpp"
 
 namespace {
@@ -129,19 +128,6 @@ std::string render_plans(const std::vector<sim::CrashPlan>& plans) {
            ':' + std::to_string(p.restart_round);
   }
   return out.empty() ? "none" : out;
-}
-
-/// Parse all of `text` as a decimal integer in [lo, hi] into `out`.
-bool parse_in_range(const char* text, long lo, long hi, long& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
-      value > hi) {
-    return false;
-  }
-  out = value;
-  return true;
 }
 
 void print_degradation(const char* name, const cluster::DegradationReport& d,

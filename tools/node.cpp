@@ -15,8 +15,10 @@
 // free-running node is durable: --state-dir attaches a FileStateStore (WAL +
 // snapshots) so the chain survives a SIGKILL, and --incarnation=<n> (n > 0)
 // marks a restarted process that replays its store before dialing and
-// announces session resume in its welcome.
+// announces session resume in its welcome. A missing, malformed or
+// out-of-range value prints the usage and exits 2.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -24,6 +26,7 @@
 
 #include "cluster/free_node.hpp"
 #include "cluster/node_host.hpp"
+#include "common/flag_parse.hpp"
 #include "runtime/loopback.hpp"
 #include "sim/harness/spec_codec.hpp"
 
@@ -31,9 +34,22 @@ namespace {
 
 using namespace repchain;
 
+constexpr const char* kUsage =
+    "usage: node --config=<blob-file> --index=<i> --connect=<port> "
+    "[--free-run --peer-base=<port> [--state-dir=<dir>] [--incarnation=<n>]]";
+
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "node: %s\n", msg.c_str());
   std::exit(2);
+}
+
+/// The value after `prefix` in `arg` as an integer in [lo, hi].
+long flag_value(const std::string& arg, std::size_t prefix, long lo, long hi) {
+  long value = 0;
+  if (!parse_in_range(arg.c_str() + prefix, lo, hi, value)) {
+    die("bad value in " + arg + "\n" + kUsage);
+  }
+  return value;
 }
 
 Bytes read_file(const std::string& path) {
@@ -58,27 +74,22 @@ int main(int argc, char** argv) {
     if (arg.rfind("--config=", 0) == 0) {
       config_path = arg.substr(9);
     } else if (arg.rfind("--index=", 0) == 0) {
-      index = std::strtol(arg.c_str() + 8, nullptr, 10);
+      index = flag_value(arg, 8, 0, 65535);
     } else if (arg.rfind("--connect=", 0) == 0) {
-      port = std::strtol(arg.c_str() + 10, nullptr, 10);
+      port = flag_value(arg, 10, 1, 65535);
     } else if (arg.rfind("--state-dir=", 0) == 0) {
       state_dir = arg.substr(12);
     } else if (arg.rfind("--incarnation=", 0) == 0) {
-      incarnation = std::strtol(arg.c_str() + 14, nullptr, 10);
+      incarnation = flag_value(arg, 14, 0, UINT32_MAX);
     } else if (arg.rfind("--peer-base=", 0) == 0) {
-      peer_base = std::strtol(arg.c_str() + 12, nullptr, 10);
+      peer_base = flag_value(arg, 12, 1, 65535);
     } else if (arg == "--free-run") {
       free_run = true;
     } else {
-      die("unknown argument " + arg);
+      die("unknown argument " + arg + "\n" + kUsage);
     }
   }
-  if (config_path.empty() || index < 0 || port <= 0 || port > 65535 ||
-      incarnation < 0) {
-    die("usage: node --config=<blob-file> --index=<i> --connect=<port> "
-        "[--free-run --peer-base=<port> [--state-dir=<dir>] "
-        "[--incarnation=<n>]]");
-  }
+  if (config_path.empty() || index < 0 || port < 0) die(kUsage);
   if (!free_run && (!state_dir.empty() || incarnation > 0)) {
     die("--state-dir/--incarnation need --free-run (lockstep nodes are "
         "stateless)");
@@ -86,7 +97,7 @@ int main(int argc, char** argv) {
   if (incarnation > 0 && state_dir.empty()) {
     die("--incarnation requires --state-dir (nothing to recover from)");
   }
-  if (free_run && (peer_base <= 0 || peer_base + index > 65535)) {
+  if (free_run && (peer_base == 0 || peer_base + index > 65535)) {
     die("--free-run requires --peer-base with room for every node's port");
   }
 

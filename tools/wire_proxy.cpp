@@ -14,7 +14,9 @@
 //                                               only <bytes> (default 16), close
 //
 // Runs until killed. Faults are wall-clock scheduled on the PollLoop, the
-// same timer seam TcpTransport's heartbeats ride in production.
+// same timer seam TcpTransport's heartbeats ride in production. Ports lie
+// in [1, 65535] and window lengths are >= 1 ms; an unknown flag or a
+// malformed or out-of-range value prints the usage and exits 2.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -25,6 +27,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +38,7 @@
 
 #include "common/bytes.hpp"
 #include "common/errors.hpp"
+#include "common/flag_parse.hpp"
 #include "common/sim_time.hpp"
 #include "runtime/loopback.hpp"
 #include "runtime/poll_loop.hpp"
@@ -256,13 +260,31 @@ class Proxy {
   std::map<int, std::shared_ptr<Relay>> relays_;
 };
 
-bool parse_window(const std::string& spec, SimDuration& first,
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: wire_proxy --listen=<port> --connect=<port> "
+               "[--stall=p:d] [--partition=s:d] [--reset-conn=n[@bytes]]\n");
+  std::exit(2);
+}
+
+/// `text` as an integer in [lo, hi]; anything else stops with the usage.
+long number(const std::string& text, long lo, long hi) {
+  long value = 0;
+  if (!parse_in_range(text.c_str(), lo, hi, value)) {
+    std::fprintf(stderr, "wire_proxy: bad value '%s'\n", text.c_str());
+    usage();
+  }
+  return value;
+}
+
+/// "<first_ms>:<second_ms>", both at least 1 ms.
+void parse_window(const std::string& spec, SimDuration& first,
                   SimDuration& second) {
   const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos) return false;
-  first = std::strtoul(spec.substr(0, colon).c_str(), nullptr, 10) * kMillisecond;
-  second = std::strtoul(spec.substr(colon + 1).c_str(), nullptr, 10) * kMillisecond;
-  return first > 0 && second > 0;
+  const std::string rest = colon == std::string::npos ? "" : spec.substr(colon + 1);
+  const long max_ms = LONG_MAX / static_cast<long>(kMillisecond);
+  first = number(spec.substr(0, colon), 1, max_ms) * kMillisecond;
+  second = number(rest, 1, max_ms) * kMillisecond;
 }
 
 }  // namespace
@@ -272,39 +294,28 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--listen=", 0) == 0) {
-      opts.listen_port = static_cast<std::uint16_t>(
-          std::strtoul(arg.c_str() + 9, nullptr, 10));
+      opts.listen_port = static_cast<std::uint16_t>(number(arg.substr(9), 1, 65535));
     } else if (arg.rfind("--connect=", 0) == 0) {
-      opts.connect_port = static_cast<std::uint16_t>(
-          std::strtoul(arg.c_str() + 10, nullptr, 10));
+      opts.connect_port = static_cast<std::uint16_t>(number(arg.substr(10), 1, 65535));
     } else if (arg.rfind("--stall=", 0) == 0) {
-      if (!parse_window(arg.substr(8), opts.stall_period, opts.stall_dur)) {
-        std::fprintf(stderr, "bad --stall (want period_ms:dur_ms)\n");
-        return 2;
-      }
+      parse_window(arg.substr(8), opts.stall_period, opts.stall_dur);
     } else if (arg.rfind("--partition=", 0) == 0) {
-      if (!parse_window(arg.substr(12), opts.partition_start,
-                        opts.partition_dur)) {
-        std::fprintf(stderr, "bad --partition (want start_ms:dur_ms)\n");
-        return 2;
-      }
+      parse_window(arg.substr(12), opts.partition_start, opts.partition_dur);
     } else if (arg.rfind("--reset-conn=", 0) == 0) {
       const std::string spec = arg.substr(13);
       const std::size_t at = spec.find('@');
-      opts.reset_conn = std::strtol(spec.c_str(), nullptr, 10);
+      opts.reset_conn = number(spec.substr(0, at), 0, LONG_MAX);
       if (at != std::string::npos) {
-        opts.reset_bytes = std::strtoul(spec.c_str() + at + 1, nullptr, 10);
+        opts.reset_bytes = number(spec.substr(at + 1), 0, LONG_MAX);
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: wire_proxy --listen=<port> --connect=<port> "
-                   "[--stall=p:d] [--partition=s:d] [--reset-conn=n[@bytes]]\n");
-      return 2;
+      std::fprintf(stderr, "wire_proxy: unknown flag %s\n", arg.c_str());
+      usage();
     }
   }
   if (opts.listen_port == 0 || opts.connect_port == 0) {
     std::fprintf(stderr, "wire_proxy: --listen and --connect are required\n");
-    return 2;
+    usage();
   }
   try {
     Proxy proxy(opts);
