@@ -87,15 +87,28 @@ class Verdicts(unittest.TestCase):
         _, problems = verdict(make_runs("base"), head)
         self.assert_fails_on(problems, "sim_honest", "step_ms_p90")
 
-    def test_failed_gate_or_nonzero_exit_on_either_side_fails(self):
-        for tree in ("base", "head"):
-            for change in ({"exit": 1}, {"result": dict(make_runs(tree)[4]["result"],
-                                                       correct=False)}):
-                base, head = make_runs("base"), make_runs("head")
-                broken = base if tree == "base" else head
-                broken[4].update(change)
-                _, problems = verdict(base, head)
-                self.assert_fails_on(problems, tree, broken[4]["workload"], "seed 101")
+    def test_failed_gate_or_nonzero_exit_at_head_fails(self):
+        for change in ({"exit": 1}, {"result": None},
+                       {"result": dict(make_runs("head")[4]["result"], correct=False)}):
+            head = make_runs("head")
+            head[4].update(change)
+            _, problems = verdict(make_runs("base"), head)
+            self.assert_fails_on(problems, "head", head[4]["workload"], "seed 101")
+
+    def test_failed_base_run_leaves_head_judged_alone(self):
+        for change in ({"exit": 1}, {"result": dict(make_runs("base")[4]["result"],
+                                                     correct=False)}):
+            base = make_runs("base")
+            base[4].update(change)
+            # HEAD 30% slower still passes: there is nothing to compare with.
+            head = make_runs("head", {("sim_honest", "throughput_per_s"): 0.7})
+            rows, problems = verdict(base, head)
+            self.assertIsNone(rows)
+            self.assertEqual(problems, [])
+            head[0]["exit"] = 1
+            _, problems = verdict(base, head)
+            self.assertEqual(len(problems), 1)
+            self.assert_fails_on(problems, "head", "seed 100")
 
     def test_higher_failed_share_at_head_fails(self):
         head = make_runs("head")
@@ -103,7 +116,7 @@ class Verdicts(unittest.TestCase):
         _, problems = verdict(make_runs("base"), head)
         self.assert_fails_on(problems, "sim_byzantine", "failed share")
 
-    def test_metric_on_one_side_only_is_reported_not_compared(self):
+    def test_metric_only_at_head_is_reported_not_compared(self):
         head = make_runs("head", {("sim_honest", "setup_s"): 10.0})
         rows, problems = verdict(make_runs("base", drop=("setup_s",)), head)
         self.assertEqual(problems, [])
@@ -111,6 +124,12 @@ class Verdicts(unittest.TestCase):
         self.assertEqual([row["verdict"] for row in setup], ["head only", "head only"])
         self.assertIn("head only", perf_guard.render(rows))
 
+    def test_metric_missing_at_head_fails(self):
+        rows, problems = verdict(make_runs("base"), make_runs("head", drop=("step_ms_p90",)))
+        self.assertEqual(len(problems), 2)
+        self.assert_fails_on(problems, "sim_honest", "step_ms_p90", "missing at head")
+        self.assert_fails_on(problems, "sim_byzantine", "step_ms_p90", "missing at head")
+        self.assertIn("base only", perf_guard.render(rows))
 
 if __name__ == "__main__":
     unittest.main()

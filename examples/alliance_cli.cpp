@@ -55,8 +55,11 @@ int main(int argc, char** argv) {
   std::size_t adversaries = 0, concealers = 0, forgers = 0, equivocators = 0;
   bool quiet = false;
 
+  auto help = [&] { usage(argv[0]); };
   for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
+    const std::string arg = argv[i];
+    const char* flag = arg.c_str();
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", flag);
         usage(argv[0]);
@@ -65,48 +68,38 @@ int main(int argc, char** argv) {
     };
     // Counts are integers (topology tiers >= 1); p-valid, f, beta and
     // visibility are fractions in [0, 1].
-    auto value = [&](const char* flag, auto lo, auto hi) {
-      const char* text = need_value(flag);
-      decltype(lo) out{};
-      if (!parse_in_range(text, lo, hi, out)) {
-        std::fprintf(stderr, "bad value for %s: %s\n", flag, text);
-        usage(argv[0]);
-      }
-      return out;
-    };
-    const std::string arg = argv[i];
     if (arg == "--providers") {
-      cfg.topology.providers = value("--providers", 1L, LONG_MAX);
+      cfg.topology.providers = flag_value(flag, next(), 1L, LONG_MAX, help);
     } else if (arg == "--collectors") {
-      cfg.topology.collectors = value("--collectors", 1L, LONG_MAX);
+      cfg.topology.collectors = flag_value(flag, next(), 1L, LONG_MAX, help);
     } else if (arg == "--governors") {
-      cfg.topology.governors = value("--governors", 1L, LONG_MAX);
+      cfg.topology.governors = flag_value(flag, next(), 1L, LONG_MAX, help);
     } else if (arg == "--r") {
-      cfg.topology.r = value("--r", 1L, LONG_MAX);
+      cfg.topology.r = flag_value(flag, next(), 1L, LONG_MAX, help);
     } else if (arg == "--rounds") {
-      cfg.rounds = value("--rounds", 0L, LONG_MAX);
+      cfg.rounds = flag_value(flag, next(), 0L, LONG_MAX, help);
     } else if (arg == "--txs") {
-      cfg.txs_per_provider_per_round = value("--txs", 0L, LONG_MAX);
+      cfg.txs_per_provider_per_round = flag_value(flag, next(), 0L, LONG_MAX, help);
     } else if (arg == "--p-valid") {
-      cfg.p_valid = value("--p-valid", 0.0, 1.0);
+      cfg.p_valid = flag_value(flag, next(), 0.0, 1.0, help);
     } else if (arg == "--f") {
-      cfg.governor.rep.f = value("--f", 0.0, 1.0);
+      cfg.governor.rep.f = flag_value(flag, next(), 0.0, 1.0, help);
     } else if (arg == "--beta") {
-      cfg.governor.rep.beta = value("--beta", 0.0, 1.0);
+      cfg.governor.rep.beta = flag_value(flag, next(), 0.0, 1.0, help);
     } else if (arg == "--seed") {
-      cfg.seed = value("--seed", 0L, LONG_MAX);
+      cfg.seed = flag_value(flag, next(), 0L, LONG_MAX, help);
     } else if (arg == "--adversaries") {
-      adversaries = value("--adversaries", 0L, LONG_MAX);
+      adversaries = flag_value(flag, next(), 0L, LONG_MAX, help);
     } else if (arg == "--concealers") {
-      concealers = value("--concealers", 0L, LONG_MAX);
+      concealers = flag_value(flag, next(), 0L, LONG_MAX, help);
     } else if (arg == "--forgers") {
-      forgers = value("--forgers", 0L, LONG_MAX);
+      forgers = flag_value(flag, next(), 0L, LONG_MAX, help);
     } else if (arg == "--equivocators") {
-      equivocators = value("--equivocators", 0L, LONG_MAX);
+      equivocators = flag_value(flag, next(), 0L, LONG_MAX, help);
     } else if (arg == "--gossip") {
       cfg.enable_label_gossip = true;
     } else if (arg == "--visibility") {
-      cfg.governor_visibility = value("--visibility", 0.0, 1.0);
+      cfg.governor_visibility = flag_value(flag, next(), 0.0, 1.0, help);
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

@@ -36,7 +36,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -80,21 +79,6 @@ void appendf(std::string& out, const char* fmt, ...) {
                "[--base-seed=S] [--rounds=R (>= 6)] "
                "[--jobs=N (0..256, 0 = one per core)]\n");
   std::exit(2);
-}
-
-/// True when `arg` is `prefix` followed by a value; the value must be an
-/// integer in [lo, hi] or the run stops with the usage.
-template <typename T>
-bool int_flag(const char* arg, const char* prefix, long lo, long hi, T& out) {
-  const std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  long value = 0;
-  if (!parse_in_range(arg + n, lo, hi, value)) {
-    std::fprintf(stderr, "chaos_soak: bad value in %s\n", arg);
-    usage();
-  }
-  out = static_cast<T>(value);
-  return true;
 }
 
 /// Random half-open round window inside [2, heal): faults never touch round 1
@@ -581,19 +565,22 @@ SeedResult run_seed(const Options& opt, std::uint64_t index) {
 int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--byzantine") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--byzantine") {
       opt.byzantine = true;
-      continue;
+    } else if (arg.rfind("--chaos-seeds=", 0) == 0) {
+      opt.seeds = flag_value("--chaos-seeds", arg.c_str() + 14, 1L, 100000L, usage);
+    } else if (arg.rfind("--base-seed=", 0) == 0) {
+      opt.base_seed = flag_value("--base-seed", arg.c_str() + 12, 0L, LONG_MAX, usage);
+    } else if (arg.rfind("--rounds=", 0) == 0) {
+      // Fault windows heal by round `rounds - 3`, so a soak needs 6 rounds.
+      opt.rounds = flag_value("--rounds", arg.c_str() + 9, 6L, LONG_MAX, usage);
+    } else if (arg.rfind("--jobs=", 0) == 0) {
+      opt.jobs = flag_value("--jobs", arg.c_str() + 7, 0L, 256L, usage);
+    } else {
+      std::fprintf(stderr, "chaos_soak: unknown flag %s\n", arg.c_str());
+      usage();
     }
-    // Fault windows heal by round `rounds - 3`, so a soak needs 6 rounds.
-    if (int_flag(argv[i], "--chaos-seeds=", 1, 100000, opt.seeds) ||
-        int_flag(argv[i], "--base-seed=", 0, LONG_MAX, opt.base_seed) ||
-        int_flag(argv[i], "--rounds=", 6, LONG_MAX, opt.rounds) ||
-        int_flag(argv[i], "--jobs=", 0, 256, opt.jobs)) {
-      continue;
-    }
-    std::fprintf(stderr, "chaos_soak: unknown flag %s\n", argv[i]);
-    usage();
   }
 
   std::printf("chaos_soak: %s%llu seed(s) from %llu, %zu rounds each\n",

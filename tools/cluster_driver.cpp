@@ -47,6 +47,7 @@
 #include <cinttypes>
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -216,6 +217,16 @@ int free_run(const Golden& golden, const std::vector<sim::CrashPlan>& kills,
   return 1;
 }
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: cluster_driver [--scenario=mixed|gossip] "
+               "[--artifact-dir=<dir>] [--mode=lockstep|free] "
+               "[--kill=v@k:r]... [--state-root=<dir>] "
+               "[--listen-port=<p>] [--node-port=<p>] "
+               "[--peer-base=<p>] [--grace=<rounds>]\n");
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,33 +260,15 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--state-root=", 0) == 0) {
       state_root = arg.substr(13);
     } else if (arg.rfind("--listen-port=", 0) == 0) {
-      if (!parse_in_range(arg.c_str() + 14, 0, 65535, listen_port)) {
-        std::fprintf(stderr, "--listen-port out of range\n");
-        return 2;
-      }
+      listen_port = flag_value("--listen-port", arg.c_str() + 14, 0L, 65535L, usage);
     } else if (arg.rfind("--node-port=", 0) == 0) {
-      if (!parse_in_range(arg.c_str() + 12, 0, 65535, node_port)) {
-        std::fprintf(stderr, "--node-port out of range\n");
-        return 2;
-      }
+      node_port = flag_value("--node-port", arg.c_str() + 12, 0L, 65535L, usage);
     } else if (arg.rfind("--peer-base=", 0) == 0) {
-      if (!parse_in_range(arg.c_str() + 12, 1, 65535 - 64, peer_base)) {
-        std::fprintf(stderr, "--peer-base out of range\n");
-        return 2;
-      }
+      peer_base = flag_value("--peer-base", arg.c_str() + 12, 1L, 65535L - 64, usage);
     } else if (arg.rfind("--grace=", 0) == 0) {
-      if (!parse_in_range(arg.c_str() + 8, 0, LONG_MAX, grace)) {
-        std::fprintf(stderr, "--grace must be a round count >= 0\n");
-        return 2;
-      }
+      grace = flag_value("--grace", arg.c_str() + 8, 0L, LONG_MAX, usage);
     } else {
-      std::fprintf(stderr,
-                   "usage: cluster_driver [--scenario=mixed|gossip] "
-                   "[--artifact-dir=<dir>] [--mode=lockstep|free] "
-                   "[--kill=v@k:r]... [--state-root=<dir>] "
-                   "[--listen-port=<p>] [--node-port=<p>] "
-                   "[--peer-base=<p>] [--grace=<rounds>]\n");
-      return 2;
+      usage();
     }
   }
   ::alarm(600);  // hard stop: a wedged cluster must not hang CI forever

@@ -34,22 +34,17 @@ namespace {
 
 using namespace repchain;
 
-constexpr const char* kUsage =
-    "usage: node --config=<blob-file> --index=<i> --connect=<port> "
-    "[--free-run --peer-base=<port> [--state-dir=<dir>] [--incarnation=<n>]]";
-
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "node: %s\n", msg.c_str());
   std::exit(2);
 }
 
-/// The value after `prefix` in `arg` as an integer in [lo, hi].
-long flag_value(const std::string& arg, std::size_t prefix, long lo, long hi) {
-  long value = 0;
-  if (!parse_in_range(arg.c_str() + prefix, lo, hi, value)) {
-    die("bad value in " + arg + "\n" + kUsage);
-  }
-  return value;
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: node --config=<blob-file> --index=<i> --connect=<port> "
+               "[--free-run --peer-base=<port> [--state-dir=<dir>] "
+               "[--incarnation=<n>]]\n");
+  std::exit(2);
 }
 
 Bytes read_file(const std::string& path) {
@@ -74,22 +69,24 @@ int main(int argc, char** argv) {
     if (arg.rfind("--config=", 0) == 0) {
       config_path = arg.substr(9);
     } else if (arg.rfind("--index=", 0) == 0) {
-      index = flag_value(arg, 8, 0, 65535);
+      index = flag_value("--index", arg.c_str() + 8, 0L, 65535L, usage);
     } else if (arg.rfind("--connect=", 0) == 0) {
-      port = flag_value(arg, 10, 1, 65535);
+      port = flag_value("--connect", arg.c_str() + 10, 1L, 65535L, usage);
     } else if (arg.rfind("--state-dir=", 0) == 0) {
       state_dir = arg.substr(12);
     } else if (arg.rfind("--incarnation=", 0) == 0) {
-      incarnation = flag_value(arg, 14, 0, UINT32_MAX);
+      incarnation =
+          flag_value("--incarnation", arg.c_str() + 14, 0L, long{UINT32_MAX}, usage);
     } else if (arg.rfind("--peer-base=", 0) == 0) {
-      peer_base = flag_value(arg, 12, 1, 65535);
+      peer_base = flag_value("--peer-base", arg.c_str() + 12, 1L, 65535L, usage);
     } else if (arg == "--free-run") {
       free_run = true;
     } else {
-      die("unknown argument " + arg + "\n" + kUsage);
+      std::fprintf(stderr, "node: unknown argument %s\n", arg.c_str());
+      usage();
     }
   }
-  if (config_path.empty() || index < 0 || port < 0) die(kUsage);
+  if (config_path.empty() || index < 0 || port < 0) usage();
   if (!free_run && (!state_dir.empty() || incarnation > 0)) {
     die("--state-dir/--incarnation need --free-run (lockstep nodes are "
         "stateless)");

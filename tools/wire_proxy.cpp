@@ -267,24 +267,15 @@ class Proxy {
   std::exit(2);
 }
 
-/// `text` as an integer in [lo, hi]; anything else stops with the usage.
-long number(const std::string& text, long lo, long hi) {
-  long value = 0;
-  if (!parse_in_range(text.c_str(), lo, hi, value)) {
-    std::fprintf(stderr, "wire_proxy: bad value '%s'\n", text.c_str());
-    usage();
-  }
-  return value;
-}
-
-/// "<first_ms>:<second_ms>", both at least 1 ms.
-void parse_window(const std::string& spec, SimDuration& first,
+/// `flag`'s "<first_ms>:<second_ms>", both at least 1 ms.
+void parse_window(const char* flag, const std::string& spec, SimDuration& first,
                   SimDuration& second) {
   const std::size_t colon = spec.find(':');
   const std::string rest = colon == std::string::npos ? "" : spec.substr(colon + 1);
   const long max_ms = LONG_MAX / static_cast<long>(kMillisecond);
-  first = number(spec.substr(0, colon), 1, max_ms) * kMillisecond;
-  second = number(rest, 1, max_ms) * kMillisecond;
+  const std::string head = spec.substr(0, colon);
+  first = flag_value(flag, head.c_str(), 1L, max_ms, usage) * kMillisecond;
+  second = flag_value(flag, rest.c_str(), 1L, max_ms, usage) * kMillisecond;
 }
 
 }  // namespace
@@ -294,19 +285,24 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--listen=", 0) == 0) {
-      opts.listen_port = static_cast<std::uint16_t>(number(arg.substr(9), 1, 65535));
+      opts.listen_port = static_cast<std::uint16_t>(
+          flag_value("--listen", arg.c_str() + 9, 1L, 65535L, usage));
     } else if (arg.rfind("--connect=", 0) == 0) {
-      opts.connect_port = static_cast<std::uint16_t>(number(arg.substr(10), 1, 65535));
+      opts.connect_port = static_cast<std::uint16_t>(
+          flag_value("--connect", arg.c_str() + 10, 1L, 65535L, usage));
     } else if (arg.rfind("--stall=", 0) == 0) {
-      parse_window(arg.substr(8), opts.stall_period, opts.stall_dur);
+      parse_window("--stall", arg.substr(8), opts.stall_period, opts.stall_dur);
     } else if (arg.rfind("--partition=", 0) == 0) {
-      parse_window(arg.substr(12), opts.partition_start, opts.partition_dur);
+      parse_window("--partition", arg.substr(12), opts.partition_start,
+                   opts.partition_dur);
     } else if (arg.rfind("--reset-conn=", 0) == 0) {
       const std::string spec = arg.substr(13);
       const std::size_t at = spec.find('@');
-      opts.reset_conn = number(spec.substr(0, at), 0, LONG_MAX);
+      const std::string conn = spec.substr(0, at);
+      opts.reset_conn = flag_value("--reset-conn", conn.c_str(), 0L, LONG_MAX, usage);
       if (at != std::string::npos) {
-        opts.reset_bytes = number(spec.substr(at + 1), 0, LONG_MAX);
+        const std::string bytes = spec.substr(at + 1);
+        opts.reset_bytes = flag_value("--reset-conn", bytes.c_str(), 0L, LONG_MAX, usage);
       }
     } else {
       std::fprintf(stderr, "wire_proxy: unknown flag %s\n", arg.c_str());
