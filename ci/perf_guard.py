@@ -4,24 +4,22 @@
     python3 ci/perf_guard.py BASE HEAD
 
 BASE and HEAD are two checkouts of this repository, usually a change's parent
-and the change. Both run the unchanged perfbench/run.py: first one short
-untimed run each, which builds the tree on every CPU, then a batch of
-alternating pairs on the same seeds, every timed run pinned to one CPU, the
-same for both trees; the tree that runs first alternates from pair to pair.
-Every end-to-end metric of BASE's BENCHMARK.json (the parent's contract, so
-a change cannot loosen a bound or drop a metric to pass) is compared per
-workload, HEAD's median against BASE's, with the file's direction and bound;
-committed tx/s and the traced socket msgs/s are held to 20%. The guard fails
-(exit 1) when a HEAD median is worse by more than its bound, when HEAD lacks
-an end-to-end metric BASE reports, when a HEAD run exits non-zero or fails
-its correctness gate, or when HEAD's failed/attempted share is higher than
-BASE's. A failure of the first batch is only reported if a second batch, on
-new seeds and judged together with the first, fails too: one run's speed is
-bimodal on a shared machine, and a median of 8 can land on the slow mode for
-one tree only. A metric only HEAD reports is printed, not compared. When a
-BASE run fails there is nothing to compare against: BASE runs no more, and
-HEAD is judged by its own runs alone. The raw result lines go to
-perf_guard.jsonl in the working directory.
+and the change. Each first runs the unchanged perfbench/run.py once, untimed,
+which builds it on every CPU. Then both run alternating pairs on the same
+seeds, pinned to one CPU; the tree that runs first alternates from pair to
+pair. Every end-to-end metric of BASE's BENCHMARK.json (the parent's
+contract, which a change cannot loosen) is compared per workload, HEAD's
+median against BASE's, with the file's direction and bound; committed tx/s
+and the traced socket msgs/s are held to 20%. The guard fails (exit 1) when
+a HEAD median is worse by more than its bound, when HEAD lacks a metric BASE
+reports, when a HEAD run exits non-zero or fails its correctness gate, or
+when HEAD's failed/attempted share is higher than BASE's. A first batch that
+fails is confirmed by a second one on new seeds, judged together with it:
+one run's speed is bimodal on a shared machine, and a median of 8 can land
+on the slow mode for one tree only. A metric only HEAD reports is printed,
+not compared. After a failed BASE run there is nothing to compare against:
+BASE runs no more, and HEAD is judged by its own runs. The raw result lines
+go to perf_guard.jsonl in the working directory.
 """
 
 import json
@@ -47,19 +45,16 @@ def run_ok(run):
     return run["exit"] == 0 and (run["result"] or {}).get("correct") is True
 
 
-def failure(run):
-    return "%s %s (trace %d) seed %d: exit %d, %s" % (
-        run["tree"], run["workload"], run["trace"], run["seed"], run["exit"],
-        "correct=%s" % run["result"].get("correct") if run["result"] else "no result line")
-
-
 def compare(spec, runs):
     """Verdict over run records: dicts of "tree" ("base" or "head"),
     "workload", "trace", "seed", "exit" and "result" (the parsed result line
     or None). `spec` is BASE's BENCHMARK.json. Returns (rows, problems): one
     row per (workload, metric) and one message per reason to fail. When a
     BASE run failed, rows is None and only HEAD's failed runs are problems."""
-    problems = [failure(r) for r in runs if r["tree"] == "head" and not run_ok(r)]
+    problems = ["%s %s (trace %d) seed %d: exit %d, %s" % (
+        r["tree"], r["workload"], r["trace"], r["seed"], r["exit"],
+        "correct=%s" % r["result"].get("correct") if r["result"] else "no result line")
+        for r in runs if r["tree"] == "head" and not run_ok(r)]
     if any(r["tree"] == "base" and not run_ok(r) for r in runs):
         return None, problems
     results = {}
@@ -99,9 +94,8 @@ def compare(spec, runs):
                                     % (workload, name))
                 if not (base and head):
                     continue
-                row["bound"] = declared[name].get("bound", HELD_BOUND)
-                if name in HELD:
-                    row["bound"] = min(row["bound"], HELD_BOUND)
+                row["bound"] = min(declared[name].get("bound", 1), HELD_BOUND) \
+                    if name in HELD else declared[name]["bound"]
                 base_med, head_med = statistics.median(base), statistics.median(head)
                 row["ratio"] = head_med / base_med if base_med else float("inf") if head_med else 1
                 sign = -1 if declared[name]["better"] == "higher" else 1
@@ -186,7 +180,7 @@ def main(argv):
                     if not run_ok(runs[-1]):
                         broken.add(tree)
             rows, problems = compare(spec, runs)
-            if not problems or broken:
+            if not problems or broken or batch + 1 == BATCHES:
                 break
             for problem in problems:
                 print("perf_guard: batch %d: %s" % (batch + 1, problem))

@@ -131,5 +131,13 @@ class Verdicts(unittest.TestCase):
         self.assert_fails_on(problems, "sim_byzantine", "step_ms_p90", "missing at head")
         self.assertIn("base only", perf_guard.render(rows))
 
+    def test_batches_alternate_the_first_tree_on_fresh_seeds(self):
+        first, second = perf_guard.schedule(0), perf_guard.schedule(1)
+        openers = [run[0] for run in first[::2 * len(perf_guard.RUNS)]]
+        self.assertEqual(len(openers), perf_guard.PAIRS)
+        self.assertEqual(openers.count("base"), openers.count("head"))
+        self.assertFalse({run[3] for run in first} & {run[3] for run in second})
+
+
 if __name__ == "__main__":
     unittest.main()
