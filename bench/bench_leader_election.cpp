@@ -42,11 +42,12 @@ void run_distribution(const char* name, const std::vector<std::uint64_t>& stakes
 
   std::vector<std::uint64_t> wins(stakes.size(), 0);
   const std::set<GovernorId> expelled;
+  Rng coeffs = rng.derive(1);  // batch coefficients for the ticket checks
   for (Round r = 1; r <= rounds; ++r) {
     ElectionState st(r, stake, expelled);
     for (std::uint32_t g = 0; g < stakes.size(); ++g) {
       (void)st.add_announcement(
-          make_announcement(r, GovernorId(g), stakes[g], keys[g]), im, nodes[g]);
+          make_announcement(r, GovernorId(g), stakes[g], keys[g]), im, nodes[g], coeffs);
     }
     const auto winner = st.winner();
     if (winner) ++wins[winner->value()];

@@ -26,16 +26,22 @@ struct BatchItem {
 /// verify()'s cofactored equation, combined: a signature whose only defect is
 /// a small-order component passes both, whatever the coefficients. Items
 /// whose keys have equal bytes fold into one A term (sum of their z_i k_i).
-/// Returns true iff every signature in the batch is valid; on false the
-/// caller falls back to per-signature verification to locate offenders (see
-/// verify_batch_detailed).
 ///
-/// This accelerates bulk ingestion paths (a governor verifying a round's
-/// uploads); correctness-critical single checks keep using verify().
+/// Every item is decoded first (decode_signature). A malformed item is
+/// false on its own, as verify decides it. A set with one well-formed item
+/// checks verify()'s single equation instead of the combined one, and draws
+/// no coefficients. So both functions below give the verdicts of one verify
+/// per signature (the combined equation passes a bad set with probability
+/// about 2^-128). The Rng must be a stream private to the caller.
+///
+/// verify_batch: true iff every signature in the batch is valid (true when
+/// empty).
 [[nodiscard]] bool verify_batch(std::span<const BatchItem> items, Rng& rng);
 
-/// Batch-then-fallback: one multi-scalar check; if it fails, per-item
-/// verification pinpoints the invalid signatures. Returns per-item validity.
+/// Per-item verdicts, each equal to verify's: the malformed items are false,
+/// and the well-formed rest are settled by one check as in verify_batch.
+/// Only when that check fails does each well-formed item check its own
+/// equation (from the parts already decoded) to locate the offenders.
 [[nodiscard]] std::vector<bool> verify_batch_detailed(std::span<const BatchItem> items,
                                                       Rng& rng);
 

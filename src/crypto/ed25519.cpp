@@ -516,28 +516,33 @@ Signature SigningKey::sign(BytesView message) const {
 }
 
 bool verify(const VerifyingKey& key, BytesView message, const Signature& sig) {
-  if (key.point() == nullptr) return false;
+  const auto parts = decode_signature(key, message, sig);
+  return parts && check_signature(key, *parts);
+}
+
+std::optional<SignatureParts> decode_signature(const VerifyingKey& key, BytesView message,
+                                               const Signature& sig) {
+  if (key.point() == nullptr) return std::nullopt;
 
   ByteArray<32> r_enc{}, s_enc{};
   std::copy(sig.bytes.begin(), sig.bytes.begin() + 32, r_enc.begin());
   std::copy(sig.bytes.begin() + 32, sig.bytes.end(), s_enc.begin());
 
-  if (!sc_is_canonical(s_enc)) return false;
-  const Scalar s = sc_from_bytes(s_enc);
-
+  if (!sc_is_canonical(s_enc)) return std::nullopt;
   const auto r = point_decompress(r_enc);
-  if (!r) return false;
+  if (!r) return std::nullopt;
 
   const Hash512 kh = sha512_concat({view(r_enc), view(key.public_key().bytes), message});
   ByteArray<64> kh_arr{};
   std::copy(kh.begin(), kh.end(), kh_arr.begin());
-  const Scalar k = sc_from_bytes_wide(kh_arr);
+  return SignatureParts{sc_from_bytes(s_enc), *r, sc_from_bytes_wide(kh_arr)};
+}
 
-  // [8]([S]B + [k](-A) - R) must be the identity; one shared doubling chain
-  // covers both multiplications.
-  const KeyTerm term{k, &key};
-  const Point sum = point_multi_scalar_mul({}, {&term, 1}, s);
-  return point_is_small_order(point_add(sum, point_neg(*r)));
+bool check_signature(const VerifyingKey& key, const SignatureParts& parts) {
+  // One shared doubling chain covers both multiplications.
+  const KeyTerm term{parts.k, &key};
+  const Point sum = point_multi_scalar_mul({}, {&term, 1}, parts.s);
+  return point_is_small_order(point_add(sum, point_neg(parts.r)));
 }
 
 }  // namespace repchain::crypto

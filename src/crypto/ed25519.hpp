@@ -160,6 +160,26 @@ class SigningKey {
 /// equation [8][S]B == [8]R + [8][k]A, the same one verify_batch checks, so
 /// a signature gets one verdict either way. Returns false (never throws) on
 /// any malformed input: non-canonical S, off-curve R or A. Variable-time.
+/// Equals decode_signature followed by check_signature.
 [[nodiscard]] bool verify(const VerifyingKey& key, BytesView message, const Signature& sig);
+
+/// A signature decoded for its verification equation: S, the point R and
+/// the challenge k = SHA-512(enc(R) || enc(A) || M) mod L.
+struct SignatureParts {
+  Scalar s;
+  Point r;
+  Scalar k;
+};
+
+/// verify()'s decoding half: nullopt for a signature that verify rejects
+/// before any equation (a key in the "not a point" state, non-canonical S,
+/// R not a curve point).
+[[nodiscard]] std::optional<SignatureParts> decode_signature(const VerifyingKey& key,
+                                                             BytesView message,
+                                                             const Signature& sig);
+
+/// verify()'s equation on decoded parts: [8]([S]B + [k](-A) - R) is the
+/// identity. `key` must be the one the parts were decoded under.
+[[nodiscard]] bool check_signature(const VerifyingKey& key, const SignatureParts& parts);
 
 }  // namespace repchain::crypto

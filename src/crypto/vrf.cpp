@@ -1,5 +1,7 @@
 #include "crypto/vrf.hpp"
 
+#include "crypto/batch_verify.hpp"
+
 namespace repchain::crypto {
 
 namespace {
@@ -23,6 +25,22 @@ std::optional<Hash512> vrf_verify(const VerifyingKey& key, BytesView alpha,
                                   const Signature& proof) {
   if (!verify(key, alpha, proof)) return std::nullopt;
   return output_from_proof(proof);
+}
+
+std::optional<std::vector<Hash512>> vrf_verify_all(const VerifyingKey& key,
+                                                   std::span<const Bytes> alphas,
+                                                   std::span<const Signature> proofs, Rng& rng) {
+  if (alphas.size() != proofs.size()) return std::nullopt;
+  std::vector<BatchItem> items;
+  items.reserve(proofs.size());
+  for (std::size_t i = 0; i < proofs.size(); ++i) {
+    items.push_back(BatchItem{key, alphas[i], proofs[i]});
+  }
+  if (!verify_batch(items, rng)) return std::nullopt;
+  std::vector<Hash512> outputs;
+  outputs.reserve(proofs.size());
+  for (const Signature& proof : proofs) outputs.push_back(output_from_proof(proof));
+  return outputs;
 }
 
 std::uint64_t vrf_output_to_u64(const Hash512& output) {

@@ -52,7 +52,7 @@ class IdentityManager {
   /// unrevoked (and role-matching, when `required_role` is given) key for
   /// `node`, or nullptr. Batch-verification front-ends run this gate per
   /// item, collect the surviving (key, message, sig) triples into one
-  /// crypto::verify_batch call, and so decide exactly what the per-item
+  /// batched check, and so decide exactly what the per-item
   /// authenticate/authorize calls would have decided. The key was decoded
   /// once, at enrollment, and its copies in a batch share its tables.
   [[nodiscard]] const crypto::VerifyingKey* verification_key(

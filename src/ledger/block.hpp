@@ -34,6 +34,8 @@ struct TxRecord {
 
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static TxRecord decode(BytesView data);
+
+  bool operator==(const TxRecord&) const = default;
 };
 
 /// A block B = (s, TXList, h) per §3.1, extended with the fields any real
@@ -70,6 +72,9 @@ struct Block {
   [[nodiscard]] static bool verify_tx_inclusion(const crypto::Hash256& tx_root,
                                                 const TxRecord& record,
                                                 const crypto::MerkleProof& proof);
+
+  /// Field-wise, which is byte-wise on the encoding (and so on hash()).
+  bool operator==(const Block&) const = default;
 };
 
 /// Assemble and sign a block.

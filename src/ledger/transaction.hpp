@@ -34,7 +34,8 @@ struct Transaction {
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Transaction decode(BytesView data);
 
-  bool operator==(const Transaction& other) const { return encode() == other.encode(); }
+  /// Field-wise, which is byte-wise on the encoding.
+  bool operator==(const Transaction&) const = default;
 };
 
 /// Create and sign a transaction with the provider's key.

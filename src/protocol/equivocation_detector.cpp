@@ -2,6 +2,7 @@
 
 #include "common/errors.hpp"
 #include "common/serial.hpp"
+#include "protocol/verified_batch.hpp"
 
 namespace repchain::protocol {
 
@@ -16,34 +17,42 @@ void EquivocationDetector::age_out() {
   seen_labels_.clear();
   seen_proposals_prev_ = std::move(seen_proposals_);
   seen_proposals_.clear();
+  punished_prev_ = std::move(punished_);
+  punished_.clear();
 }
 
 EquivocationDetector::ProposalNote EquivocationDetector::note_proposal(
     const ledger::Block& block) {
   ProposalNote note;
+  const auto key = std::make_pair(block.leader.value(), block.serial);
+  const ledger::Block* held = nullptr;
+  for (const ProposalGen* gen : {&seen_proposals_, &seen_proposals_prev_}) {
+    const auto it = gen->find(key);
+    if (it != gen->end()) {
+      held = &it->second;
+      break;
+    }
+  }
+  // An echo copy of the held block: same signature, already verified.
+  if (held != nullptr && *held == block) return note;
   const auto leader_node = directory_.find_node(block.leader);
   if (!leader_node || !im_.authorize(*leader_node, identity::Role::kGovernor,
                                      block.signed_preimage(), block.leader_sig)) {
     return note;  // unsigned claims are not evidence of anything
   }
-  const auto key = std::make_pair(block.leader.value(), block.serial);
-  const auto hash = block.hash();
-  for (ProposalGen* gen : {&seen_proposals_, &seen_proposals_prev_}) {
-    const auto it = gen->find(key);
-    if (it == gen->end()) continue;
-    if (it->second.hash() == hash) return note;  // duplicate of the known block
-    // Two valid leader signatures over different blocks at one serial.
-    if (proposal_punished_.insert(key).second) {
-      note.conflict = it->second;
-      ++metrics_.proposal_equivocations;
-      if (evidence_) {
-        evidence_(adversary::ByzantineKind::kProposalEquivocation, block.leader.value());
-      }
-    }
+  if (held == nullptr) {
+    seen_proposals_.emplace(key, block);
+    note.fresh = true;
     return note;
   }
-  seen_proposals_.emplace(key, block);
-  note.fresh = true;
+  // Two valid leader signatures over different blocks at one serial.
+  if (proposal_punished_.insert(key).second) {
+    note.conflict = *held;
+    ++metrics_.proposal_equivocations;
+    if (evidence_) {
+      evidence_(adversary::ByzantineKind::kProposalEquivocation, block.leader.value());
+    }
+  }
   return note;
 }
 
@@ -77,41 +86,58 @@ void EquivocationDetector::on_gossip_payload(BytesView payload) {
   on_gossip(ltxs);
 }
 
+const ledger::LabeledTransaction* EquivocationDetector::local_label(
+    const ledger::TxId& id, CollectorId collector) const {
+  for (const LabelGen* gen : {&seen_labels_, &seen_labels_prev_}) {
+    const auto tit = gen->find(id);
+    if (tit == gen->end()) continue;
+    const auto cit = tit->second.find(collector);
+    if (cit != tit->second.end()) return &cit->second;
+  }
+  return nullptr;
+}
+
 void EquivocationDetector::on_gossip(
     const std::vector<ledger::LabeledTransaction>& ltxs) {
+  // Only a label that conflicts with the local copy can be evidence, so
+  // signatures are checked only then (almost every gossiped label equals
+  // its local copy), and not for a pair already punished.
+  struct Candidate {
+    CollectorId collector;
+    ledger::TxId id;
+    VerifiedBatch::Index check;
+  };
+  std::vector<Candidate> candidates;
+  VerifiedBatch batch;
   for (const auto& remote : ltxs) {
-    // Only a label that conflicts with the local copy can be evidence, so
-    // the (pure) signature check runs only then: almost every gossiped label
-    // equals its local copy.
     const ledger::TxId id = remote.tx.id();
-    const ledger::LabeledTransaction* local = nullptr;
-    for (const LabelGen* gen : {&seen_labels_, &seen_labels_prev_}) {
-      const auto tit = gen->find(id);
-      if (tit == gen->end()) continue;
-      const auto cit = tit->second.find(remote.collector);
-      if (cit != tit->second.end()) {
-        local = &cit->second;
-        break;
-      }
-    }
+    const ledger::LabeledTransaction* local = local_label(id, remote.collector);
     if (local == nullptr || local->label == remote.label) continue;
-    // Only a genuinely signed remote label is evidence.
-    const auto collector_node = directory_.find_node(remote.collector);
-    if (!collector_node ||
-        !im_.authorize(*collector_node, identity::Role::kCollector,
-                       remote.signed_preimage(), remote.collector_sig)) {
+    if (punished_.contains({remote.collector, id}) ||
+        punished_prev_.contains({remote.collector, id})) {
       continue;
     }
+    // Only a genuinely signed remote label is evidence.
+    const auto collector_node = directory_.find_node(remote.collector);
+    const crypto::VerifyingKey* key =
+        collector_node ? im_.verification_key(*collector_node, identity::Role::kCollector)
+                       : nullptr;
+    if (key == nullptr) continue;
+    candidates.push_back(Candidate{remote.collector, id,
+                                   batch.add(*key, remote.signed_preimage(),
+                                             remote.collector_sig)});
+  }
+  if (candidates.empty()) return;
+  batch.settle(batch_rng_);
 
+  for (const Candidate& c : candidates) {
     // Two valid signatures by the same collector over conflicting labels for
     // one transaction: a self-contained equivocation proof.
-    const auto key = std::make_pair(remote.collector.value(), to_hex(view(id)));
-    if (!punished_.insert(key).second) continue;
+    if (!batch.ok(c.check) || !punished_.emplace(c.collector, c.id).second) continue;
     ++metrics_.equivocations_detected;
-    table_.punish_forgery(remote.collector);
+    table_.punish_forgery(c.collector);
     if (evidence_) {
-      evidence_(adversary::ByzantineKind::kCollectorEquivocation,
-                remote.collector.value());
+      evidence_(adversary::ByzantineKind::kCollectorEquivocation, c.collector.value());
     }
   }
 }

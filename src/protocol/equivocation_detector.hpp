@@ -4,12 +4,12 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "adversary/byzantine.hpp"
+#include "common/rng.hpp"
 #include "identity/identity_manager.hpp"
 #include "ledger/block.hpp"
 #include "ledger/transaction.hpp"
@@ -28,13 +28,24 @@ namespace repchain::protocol {
 ///
 /// Evidence is kept for two round generations: the current round's labels
 /// plus the previous round's (conflicts can only surface within the
-/// synchrony window), aged out each round so memory stays bounded.
+/// synchrony window), aged out each round so memory stays bounded. The
+/// punished (collector, tx) pairs age with them: a pair can only be detected
+/// again while its local label is held.
+///
+/// The conflicting labels of one gossip message are verified together, in
+/// one VerifiedBatch whose coefficients come from `batch_rng`, a private
+/// derived stream (see ScreeningIntake).
 class EquivocationDetector {
  public:
   EquivocationDetector(const identity::IdentityManager& im,
                        const Directory& directory,
-                       reputation::ReputationTable& table, GovernorMetrics& metrics)
-      : im_(im), directory_(directory), table_(table), metrics_(metrics) {}
+                       reputation::ReputationTable& table, GovernorMetrics& metrics,
+                       Rng batch_rng)
+      : im_(im),
+        directory_(directory),
+        table_(table),
+        metrics_(metrics),
+        batch_rng_(std::move(batch_rng)) {}
 
   /// Remember a locally received signed label and queue it for gossip.
   void note_label(const ledger::TxId& id, const ledger::LabeledTransaction& ltx);
@@ -46,7 +57,10 @@ class EquivocationDetector {
   /// there is nothing to send.
   [[nodiscard]] std::optional<Bytes> take_gossip_payload();
 
-  /// Cross-check a peer's decoded gossip batch against local evidence.
+  /// Cross-check a peer's decoded gossip batch against local evidence. A
+  /// label that conflicts with the local copy, for a pair not yet punished,
+  /// is a candidate; the candidates' signatures are settled in one batch,
+  /// and punishments, metrics and evidence callbacks follow in message order.
   void on_gossip(const std::vector<ledger::LabeledTransaction>& ltxs);
 
   /// Decode a gossip payload (as produced by take_gossip_payload) and
@@ -64,9 +78,11 @@ class EquivocationDetector {
   };
 
   /// Record a block proposal for leader-equivocation detection (§3.4.3
-  /// extension: the same two-generation window as labels). The leader's
-  /// signature is verified here; unsigned blocks are ignored (fresh =
-  /// false, no conflict). At most one conflict is reported per
+  /// extension: the same two-generation window as labels). A copy equal to
+  /// the held block for its (leader, serial) is a duplicate, known without a
+  /// signature check: it carries the signature already verified. Otherwise
+  /// the leader's signature is verified here; unsigned blocks are ignored
+  /// (fresh = false, no conflict). At most one conflict is reported per
   /// (leader, serial).
   [[nodiscard]] ProposalNote note_proposal(const ledger::Block& block);
 
@@ -85,6 +101,11 @@ class EquivocationDetector {
   using LabelGen = std::unordered_map<
       ledger::TxId, std::unordered_map<CollectorId, ledger::LabeledTransaction>,
       ledger::TxIdHash>;
+  using PunishedGen = std::set<std::pair<CollectorId, ledger::TxId>>;
+
+  /// The held local label of (collector, tx), or nullptr.
+  [[nodiscard]] const ledger::LabeledTransaction* local_label(const ledger::TxId& id,
+                                                              CollectorId collector) const;
 
   const identity::IdentityManager& im_;
   const Directory& directory_;
@@ -96,7 +117,9 @@ class EquivocationDetector {
   LabelGen seen_labels_;
   LabelGen seen_labels_prev_;
   std::vector<ledger::LabeledTransaction> ungossiped_;
-  std::set<std::pair<std::uint32_t, std::string>> punished_;
+  PunishedGen punished_;
+  PunishedGen punished_prev_;
+  Rng batch_rng_;
   ProposalGen seen_proposals_;
   ProposalGen seen_proposals_prev_;
   std::set<std::pair<std::uint32_t, BlockSerial>> proposal_punished_;

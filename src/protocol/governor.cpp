@@ -26,12 +26,14 @@ Governor::Governor(GovernorId id, runtime::NodeContext& ctx, crypto::SigningKey 
       engine_(table_, oracle_, ctx_.rng()),
       argues_(table_, oracle_, metrics_, config.rep.argue_latency_u),
       stake_consensus_(id, key_, im_, directory_, out_, std::move(genesis_stake)),
-      equivocation_(im_, directory_, table_, metrics_),
+      // Private coefficient streams for batched signature checks: derive()
+      // is const, so the behavioral stream sees no draws.
+      equivocation_(im_, directory_, table_, metrics_,
+                    ctx.rng().derive(0x62766B26677370ULL /* "bvk&gsp" */)),
       intake_(im_, directory_, table_, engine_, assembler_, argues_, equivocation_,
               metrics_, ctx_.timers(), config_, visible_,
-              // Private coefficient stream for batched signature checks:
-              // derive() is const, so the behavioral stream sees no draws.
               ctx.rng().derive(0x62766B26696E74ULL /* "bvk&int" */)),
+      election_rng_(ctx.rng().derive(0x62766B26767266ULL /* "bvk&vrf" */)),
       store_(store) {
   config_.rep.validate();
   for (const NodeId n : directory_.governor_nodes()) {
@@ -259,7 +261,8 @@ void Governor::on_vrf(const runtime::Message& msg) {
   if (expelled_.contains(announce.governor)) reshare_expulsion(announce.governor);
   const auto announcer_node = directory_.find_node(announce.governor);
   if (!announcer_node) return;  // names no registered governor
-  const bool fresh = election_->add_announcement(announce, im_, *announcer_node);
+  const bool fresh =
+      election_->add_announcement(announce, im_, *announcer_node, election_rng_);
   // Echo relay (reliable mode): forward a first-seen valid announcement to
   // the remaining governors over our own channel, so its delivery no longer
   // depends on the announcer staying alive to retransmit it. Without the

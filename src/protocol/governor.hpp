@@ -298,6 +298,9 @@ class Governor {
 
   Round round_ = 0;
   std::optional<ElectionState> election_;
+  // Private coefficient stream for the batched check of each announcement's
+  // VRF proofs (see the intake's and the detector's streams).
+  Rng election_rng_;
   bool leader_announced_ = false;  // trace: kLeaderElected emitted this round
   std::set<GovernorId> expelled_;
   // Held equivocation proofs per expelled governor, re-broadcast (at most

@@ -12,33 +12,37 @@ ElectionState::ElectionState(Round round, const StakeLedger& stake,
 
 bool ElectionState::add_announcement(const VrfAnnounceMsg& msg,
                                      const identity::IdentityManager& im,
-                                     NodeId sender_node) {
+                                     NodeId sender_node, Rng& rng) {
   if (msg.round != round_) return false;
   const auto it = expected_.find(msg.governor);
   if (it == expected_.end()) return false;        // unknown or expelled governor
   if (seen_.contains(msg.governor)) return false;  // duplicate announcement
   if (msg.tickets.size() != it->second) return false;  // one ticket per stake unit
 
-  // Verify every ticket's VRF proof against the governor's enrolled key.
   const crypto::VerifyingKey* key =
       im.verification_key(sender_node, identity::Role::kGovernor);
   if (key == nullptr) return false;
 
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> hashes;
-  hashes.reserve(msg.tickets.size());
+  std::vector<Bytes> alphas;
+  std::vector<crypto::Signature> proofs;
+  alphas.reserve(msg.tickets.size());
+  proofs.reserve(msg.tickets.size());
   std::set<std::uint32_t> units_seen;
   for (const auto& t : msg.tickets) {
     if (t.governor != msg.governor) return false;
     if (t.unit >= it->second) return false;        // unit index out of range
     if (!units_seen.insert(t.unit).second) return false;  // duplicate unit
-    const auto out = crypto::vrf_verify(*key, vrf_alpha(round_, t.governor, t.unit),
-                                        t.proof);
-    if (!out) return false;
-    hashes.emplace_back(crypto::vrf_output_to_u64(*out), t.unit);
+    alphas.push_back(vrf_alpha(round_, t.governor, t.unit));
+    proofs.push_back(t.proof);
   }
+  // Every ticket's VRF proof against the governor's enrolled key, at once.
+  const auto outputs = crypto::vrf_verify_all(*key, alphas, proofs, rng);
+  if (!outputs) return false;
 
   seen_.insert(msg.governor);
-  for (const auto& [hash, unit] : hashes) {
+  for (std::size_t i = 0; i < outputs->size(); ++i) {
+    const std::uint64_t hash = crypto::vrf_output_to_u64((*outputs)[i]);
+    const std::uint32_t unit = msg.tickets[i].unit;
     const bool better =
         hash < best_.hash ||
         (hash == best_.hash && (msg.governor < best_.governor ||

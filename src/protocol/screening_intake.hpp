@@ -36,8 +36,10 @@ namespace repchain::protocol {
 /// gates inline, queues the surviving signatures in a VerifiedBatch, and
 /// arms a zero-delay flush timer. All uploads landing at one instant —
 /// collector bursts collapsed onto a single delivery time by the atomic
-/// broadcast's in-order rule — settle through a single crypto::verify_batch
-/// call, then flow through the per-upload pipeline in arrival order. A
+/// broadcast's in-order rule — settle through one VerifiedBatch (a
+/// malformed signature, such as a forged upload's random bytes, is decided
+/// alone and leaves the rest of the wave to one combined check), then flow
+/// through the per-upload pipeline in arrival order. A
 /// (TxId, signature) memo
 /// additionally skips re-verifying a provider signature this governor
 /// already proved genuine for an earlier reporter of the same transaction.

@@ -7,10 +7,10 @@ void VerifiedBatch::settle(Rng& rng) {
   settled_ = true;
   if (items_.empty()) return;
 
-  // One combined check settles the whole batch when everything is genuine
-  // (the overwhelmingly common case); otherwise verify_batch_detailed's
-  // per-item fallback pinpoints the forged items without condemning their
-  // batch-mates.
+  // Malformed items are decided alone; one combined check settles the
+  // well-formed rest when they are genuine (the overwhelmingly common case),
+  // and otherwise a per-item check pinpoints the forged ones without
+  // condemning their batch-mates.
   const std::vector<bool> results = crypto::verify_batch_detailed(items_, rng);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i] == kNoSlot) continue;

@@ -12,18 +12,22 @@
 namespace repchain::protocol {
 
 /// A batch of signature checks accumulated by an ingestion front-end and
-/// settled in one crypto::verify_batch call.
+/// settled in one crypto::verify_batch_detailed call.
 ///
-/// ScreeningIntake's upload flush is the one front-end. (Label gossip
-/// authenticates only a conflicting label, and StakeConsensus verifies its
-/// quorum signatures one at a time.) It runs the non-cryptographic gates
-/// per item first — enrollment, role, revocation, link structure — via
+/// Two front-ends use it. ScreeningIntake's upload flush settles a
+/// same-instant wave of uploads; EquivocationDetector settles the
+/// conflicting labels of one gossip message. (ElectionState checks an
+/// announcement's VRF tickets with crypto::vrf_verify_all, which is
+/// all-or-nothing; StakeConsensus verifies its quorum signatures one at a
+/// time.) A front-end runs the non-cryptographic gates per item first —
+/// enrollment, role, revocation, link structure — via
 /// IdentityManager::verification_key. Items that fail a gate, or that hit a
 /// verified-signature memo, enter the batch pre-decided; the rest carry a
-/// (key, message, sig) triple and are settled together: one random-linear-
-/// combination check for the whole batch, with the verify_batch_detailed
-/// per-item fallback isolating the offending items when the combined check
-/// fails. The per-item verdicts are therefore exactly what per-item
+/// (key, message, sig) triple and are settled together. settle() decodes
+/// every triple: a malformed one is false on its own, a lone well-formed one
+/// checks the single equation, and the rest share one random-linear-
+/// combination check, with a per-item check of each only when that fails.
+/// The per-item verdicts are therefore exactly what per-item
 /// authenticate/authorize calls would have produced, at a fraction of the
 /// scalar-multiplication cost.
 ///
@@ -59,8 +63,8 @@ class VerifiedBatch {
     return verdicts_.size() - 1;
   }
 
-  /// Run the queued checks: one verify_batch over every pending item, with
-  /// per-item fallback on failure. Idempotent once settled.
+  /// Run the queued checks with crypto::verify_batch_detailed. Idempotent
+  /// once settled.
   void settle(Rng& rng);
 
   /// Per-item verdict; only valid after settle().

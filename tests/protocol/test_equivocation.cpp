@@ -142,7 +142,7 @@ struct DetectorEdgeFixture : ::testing::Test {
   crypto::SigningKey provider_key{crypto::random_seed(rng)};
   crypto::SigningKey collector_key{crypto::random_seed(rng)};
   crypto::SigningKey leader_key{crypto::random_seed(rng)};
-  protocol::EquivocationDetector detector{im, directory, table, metrics};
+  protocol::EquivocationDetector detector{im, directory, table, metrics, Rng(67)};
   int evidence_fired = 0;
 };
 
@@ -207,7 +207,7 @@ TEST_F(DetectorEdgeFixture, TruncatedGossipPayloadIgnoredEvenWithValidPrefix) {
   detector.note_label(
       tx.id(), ledger::make_labeled(tx, ledger::Label::kValid, CollectorId(0),
                                     collector_key));
-  protocol::EquivocationDetector peer(im, directory, table, metrics);
+  protocol::EquivocationDetector peer(im, directory, table, metrics, Rng(68));
   peer.note_label(tx.id(),
                   ledger::make_labeled(tx, ledger::Label::kInvalid, CollectorId(0),
                                        collector_key));
@@ -272,6 +272,117 @@ TEST_F(DetectorEdgeFixture, ProposalBeyondTwoGenerationsIsForgotten) {
   EXPECT_TRUE(note.fresh);
   EXPECT_FALSE(note.conflict.has_value());
   EXPECT_EQ(metrics.proposal_equivocations, 0u);
+}
+
+TEST_F(DetectorEdgeFixture, OneGossipMessageSettlesItsConflictsInOrder) {
+  // One message: a pair punished earlier, a forged conflicting label, a
+  // copy equal to the local label, and two genuine conflicts (the second
+  // repeated). Each pair is punished once, in message order.
+  const crypto::SigningKey second_key(crypto::random_seed(rng));
+  directory.add_collector(CollectorId(1), NodeId(2));
+  im.enroll(NodeId(2), identity::Role::kCollector, second_key.public_key());
+  table.register_collector(CollectorId(1));
+  table.link(CollectorId(1), ProviderId(0));
+  std::vector<std::pair<adversary::ByzantineKind, std::uint64_t>> calls;
+  detector.set_evidence([&](adversary::ByzantineKind kind, std::uint64_t offender) {
+    calls.emplace_back(kind, offender);
+  });
+
+  const auto labeled = [&](const ledger::Transaction& tx, ledger::Label label,
+                           CollectorId c) {
+    return ledger::make_labeled(tx, label, c,
+                                c == CollectorId(0) ? collector_key : second_key);
+  };
+  std::vector<ledger::Transaction> txs;
+  for (std::uint64_t seq = 0; seq < 5; ++seq) txs.push_back(make_tx(seq));
+  const CollectorId owner[] = {CollectorId(0), CollectorId(0), CollectorId(0),
+                               CollectorId(1), CollectorId(0)};
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    detector.note_label(txs[i].id(), labeled(txs[i], ledger::Label::kValid, owner[i]));
+  }
+  const auto conflict = [&](std::size_t i) {
+    return labeled(txs[i], ledger::Label::kInvalid, owner[i]);
+  };
+  detector.on_gossip({conflict(0)});
+  ASSERT_EQ(metrics.equivocations_detected, 1u);
+  calls.clear();
+
+  auto forged = conflict(1);
+  forged.collector_sig.bytes[40] ^= 0x01;
+  detector.on_gossip({conflict(0), forged, labeled(txs[2], ledger::Label::kValid, owner[2]),
+                      conflict(4), conflict(3), conflict(3)});
+
+  EXPECT_EQ(metrics.equivocations_detected, 3u);
+  const std::vector<std::pair<adversary::ByzantineKind, std::uint64_t>> expected = {
+      {adversary::ByzantineKind::kCollectorEquivocation, 0},
+      {adversary::ByzantineKind::kCollectorEquivocation, 1}};
+  EXPECT_EQ(calls, expected);
+  reputation::ReputationTable reference{reputation::ReputationParams{}};
+  reference.register_collector(CollectorId(0));
+  reference.register_collector(CollectorId(1));
+  reference.punish_forgery(CollectorId(0));
+  reference.punish_forgery(CollectorId(0));
+  reference.punish_forgery(CollectorId(1));
+  EXPECT_EQ(table.forge(CollectorId(0)), reference.forge(CollectorId(0)));
+  EXPECT_EQ(table.forge(CollectorId(1)), reference.forge(CollectorId(1)));
+
+  // The forged label was no evidence: the genuine conflict still counts.
+  detector.on_gossip({conflict(1)});
+  EXPECT_EQ(metrics.equivocations_detected, 4u);
+}
+
+TEST_F(DetectorEdgeFixture, PunishedPairsAgeWithTheLabels) {
+  // The punished set is held as long as the label that proved the conflict,
+  // and no longer: a conflict noted afresh two rounds later counts again.
+  const auto tx = make_tx(1);
+  const auto mine = ledger::make_labeled(tx, ledger::Label::kValid, CollectorId(0),
+                                         collector_key);
+  const auto theirs = ledger::make_labeled(tx, ledger::Label::kInvalid,
+                                           CollectorId(0), collector_key);
+  detector.note_label(tx.id(), mine);
+  detector.age_out();
+  detector.on_gossip({theirs});  // local label held in the previous generation
+  ASSERT_EQ(metrics.equivocations_detected, 1u);
+  detector.age_out();
+  detector.on_gossip({theirs});  // the label is gone: nothing to compare with
+  EXPECT_EQ(metrics.equivocations_detected, 1u);
+  detector.age_out();
+  detector.note_label(tx.id(), mine);
+  detector.on_gossip({theirs});
+  EXPECT_EQ(metrics.equivocations_detected, 2u);
+}
+
+TEST_F(DetectorEdgeFixture, ProposalEchoCopyIsDuplicateAndAnyDifferenceIsChecked) {
+  const auto tx = make_tx(1);
+  const std::vector<ledger::TxRecord> txs = {ledger::TxRecord{tx}};
+  const auto first =
+      ledger::make_block(3, 3, crypto::Hash256{}, GovernorId(7), txs, leader_key);
+  ASSERT_TRUE(detector.note_proposal(first).fresh);
+
+  // An echo copy, decoded from the wire: a duplicate, as before.
+  auto note = detector.note_proposal(ledger::Block::decode(first.encode()));
+  EXPECT_FALSE(note.fresh);
+  EXPECT_FALSE(note.conflict.has_value());
+
+  // The same content under a broken signature is an unsigned claim.
+  auto unsigned_copy = first;
+  unsigned_copy.leader_sig.bytes[0] ^= 0x01;
+  note = detector.note_proposal(unsigned_copy);
+  EXPECT_FALSE(note.fresh);
+  EXPECT_FALSE(note.conflict.has_value());
+  EXPECT_EQ(metrics.proposal_equivocations, 0u);
+
+  // A block that differs in one record's status at the same serial, signed
+  // by the leader: a conflict.
+  std::vector<ledger::TxRecord> other = txs;
+  other[0].status = ledger::TxStatus::kUncheckedInvalid;
+  other[0].label = ledger::Label::kInvalid;
+  note = detector.note_proposal(
+      ledger::make_block(3, 3, crypto::Hash256{}, GovernorId(7), other, leader_key));
+  ASSERT_TRUE(note.conflict.has_value());
+  EXPECT_EQ(note.conflict->hash(), first.hash());
+  EXPECT_EQ(metrics.proposal_equivocations, 1u);
+  EXPECT_EQ(evidence_fired, 1);
 }
 
 }  // namespace
