@@ -77,8 +77,11 @@ Signature sign_with(const Scalar& a, const PublicKey& pub, const Scalar& r,
   return sig;
 }
 
+// Plain bytes, no pointer: gtest lists a parameter by its raw bytes, and
+// ctest takes that listing as the test's name. A std::string here would put a
+// heap address in the name, which moves whenever an earlier allocation does.
 struct SmallOrderCase {
-  std::string name;
+  char name[32];
   int r_order;    // order of the torsion point added to R (1: none)
   int key_order;  // order of the torsion point added to A (1: none)
 };
@@ -132,7 +135,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SmallOrderCase{"RPlusOrder2", 2, 1}, SmallOrderCase{"RPlusOrder4", 4, 1},
                       SmallOrderCase{"RPlusOrder8", 8, 1},
                       SmallOrderCase{"KeyEnrolledAsAPlusOrder8", 1, 8}),
-    [](const ::testing::TestParamInfo<SmallOrderCase>& info) { return info.param.name; });
+    [](const ::testing::TestParamInfo<SmallOrderCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(SmallOrderKey, VerifiesNothing) {
   PublicKey identity;
