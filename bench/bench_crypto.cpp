@@ -1,12 +1,13 @@
 // Crypto substrate microbenchmarks (plumbing cost context for every other
-// experiment): SHA-256/512 throughput, the field, scalar and group
-// operations under Ed25519, Ed25519 keygen/sign/verify, batch verification,
-// VRF evaluate/verify, Merkle tree construction, and each batched check a
-// governor makes against the one verification per signature it replaces
-// (a wave holding one malformed item, a 10-ticket VRF announcement).
-// Verification rows come in two kinds: one-off keys (a PublicKey converted
-// per call, the full-length path) and enrolled keys (VerifyingKey::enrolled,
-// split tables), as the Identity Manager's members verify.
+// experiment): SHA-256 on each compression path and SHA-512 throughput, the
+// field, scalar and group operations under Ed25519, Ed25519
+// keygen/sign/verify, batch verification, VRF evaluate/verify, Merkle tree
+// construction, and each set of signatures a governor checks at once
+// against the one verification per signature it replaces (an intake wave's
+// per-item verdicts, a 10-ticket VRF announcement). Verification rows come
+// in two kinds: one-off keys (a PublicKey converted per call, the
+// full-length path) and enrolled keys (VerifyingKey::enrolled, stride
+// tables), as the Identity Manager's members verify.
 
 #include <benchmark/benchmark.h>
 
@@ -29,15 +30,34 @@ namespace {
 using namespace repchain;
 using namespace repchain::crypto;
 
+/// The compression function of a SHA-256 path: 0 portable, 1 the SHA
+/// extensions; nullptr when this CPU cannot run it.
+Sha256::Compress sha256_path(std::int64_t path) {
+  if (path == 0) return &sha256_compress_portable;
+#if defined(__x86_64__)
+  if (sha256_has_sha_extensions()) return &sha256_compress_sha_extensions;
+#endif
+  return nullptr;
+}
+
+// 64 bytes: a Merkle node; 111: about a transaction's id preimage.
 void bm_sha256(benchmark::State& state) {
   Rng rng(1);
   const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  const Sha256::Compress compress = sha256_path(state.range(1));
+  if (compress == nullptr) {
+    state.SkipWithError("no SHA extensions on this CPU");
+    return;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::hash(data));
+    benchmark::DoNotOptimize(Sha256(compress).update(data).finish());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(bm_sha256)->Arg(64)->Arg(1024)->Arg(65536)->Name("sha256/bytes");
+BENCHMARK(bm_sha256)
+    ->ArgsProduct({{64, 111, 4096}, {0, 1}})
+    ->ArgNames({"bytes", "sha_ext"})
+    ->Name("sha256");
 
 void bm_sha512(benchmark::State& state) {
   Rng rng(2);
@@ -269,18 +289,6 @@ BENCHMARK(bm_batch_verify_enrolled)
     ->ArgNames({"sigs", "keys"})
     ->Name("batch_verify(enrolled)");
 
-/// An enrolled wave of n items over 3 keys whose item n/2 carries a forged
-/// upload's provider signature: 64 random bytes that do not decode.
-std::vector<BatchItem> wave_with_malformed_item(Rng& rng, std::size_t n) {
-  std::vector<BatchItem> items = enrolled_batch(rng, n, 3);
-  Signature& sig = items[n / 2].sig;
-  do {
-    const Bytes raw = rng.bytes(64);
-    std::copy(raw.begin(), raw.end(), sig.bytes.begin());
-  } while (decode_signature(items[n / 2].pub, items[n / 2].message, sig));
-  return items;
-}
-
 /// A governor's 10-ticket VRF announcement: proofs over ten alphas under
 /// one enrolled key.
 struct Announcement {
@@ -299,17 +307,22 @@ Announcement ten_ticket_announcement(Rng& rng) {
   return a;
 }
 
-// One malformed item in a wave: it is decided alone and the rest settle in
-// one equation (batched:1), where a failed decode used to send the whole
-// wave to one verify per item (batched:0).
-void bm_wave_one_malformed(benchmark::State& state) {
+/// Shapes of the per-item rows: {items, distinct keys}. A governor's intake
+/// wave is most often 2 items under 2 keys, about 5 over 3.5 on average.
+constexpr std::pair<std::size_t, std::size_t> kPerItemShapes[] = {
+    {1, 1}, {2, 2}, {5, 3}, {5, 5}, {16, 1}, {16, 3}, {16, 5}};
+
+// Per-item verdicts of an enrolled set (verify_batch_detailed: the set's
+// points share one inversion) against one verify per item (batched:0).
+void bm_per_item_set(benchmark::State& state) {
   Rng rng(12);
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<BatchItem> items = wave_with_malformed_item(rng, n);
-  const bool batched = state.range(1) != 0;
+  const std::vector<BatchItem> items =
+      enrolled_batch(rng, n, static_cast<std::size_t>(state.range(1)));
+  const bool batched = state.range(2) != 0;
   for (auto _ : state) {
     if (batched) {
-      benchmark::DoNotOptimize(verify_batch_detailed(items, rng));
+      benchmark::DoNotOptimize(verify_batch_detailed(items));
     } else {
       for (const BatchItem& it : items) {
         benchmark::DoNotOptimize(verify(it.pub, it.message, it.sig));
@@ -318,10 +331,33 @@ void bm_wave_one_malformed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(bm_wave_one_malformed)
-    ->ArgsProduct({{5, 16}, {0, 1}})
-    ->ArgNames({"sigs", "batched"})
-    ->Name("wave_one_malformed");
+BENCHMARK(bm_per_item_set)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const auto& [n, keys] : kPerItemShapes) {
+        for (const std::int64_t batched : {0, 1}) {
+          b->Args({static_cast<std::int64_t>(n), static_cast<std::int64_t>(keys), batched});
+        }
+      }
+    })
+    ->ArgNames({"sigs", "keys", "batched"})
+    ->Name("per_item_set(enrolled)");
+
+// Ten signatures under one enrolled key, as a VRF announcement's tickets:
+// verify_batch's combined equation (combined:1) against per-item verdicts.
+void bm_tickets_under_one_key(benchmark::State& state) {
+  Rng rng(14);
+  const std::vector<BatchItem> items = enrolled_batch(rng, 10, 1);
+  const bool combined = state.range(0) != 0;
+  for (auto _ : state) {
+    if (combined) {
+      benchmark::DoNotOptimize(verify_batch(items, rng));
+    } else {
+      benchmark::DoNotOptimize(verify_batch_detailed(items));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 10);
+}
+BENCHMARK(bm_tickets_under_one_key)->Arg(0)->Arg(1)->ArgName("combined")->Name("ten_under_one_key");
 
 // A 10-ticket announcement: one vrf_verify per ticket, or vrf_verify_all.
 void bm_vrf_announcement(benchmark::State& state) {
@@ -380,6 +416,11 @@ void write_json_summary() {
   };
   add("sha256_64KiB", 200,
       [&] { benchmark::DoNotOptimize(Sha256::hash(big)); });
+  const Bytes tx_sized = rng.bytes(111);
+  add("sha256_portable_111B", 20000, [&] {
+    benchmark::DoNotOptimize(Sha256(&sha256_compress_portable).update(tx_sized).finish());
+  });
+  add("sha256_111B", 20000, [&] { benchmark::DoNotOptimize(Sha256::hash(tx_sized)); });
   add("ed25519_sign", 500, [&] { benchmark::DoNotOptimize(key.sign(msg)); });
   add("ed25519_verify", 500,
       [&] { benchmark::DoNotOptimize(verify(key.public_key(), msg, sig)); });
@@ -458,8 +499,8 @@ void write_json_summary() {
     for (int i = 0; i < kSets; ++i) fn();
     return std::chrono::duration<double, std::micro>(clock::now() - t0).count() / kSets;
   };
-  const auto mechanism_row = [&](const char* check, std::size_t items, auto&& one_by_one,
-                                 auto&& batched) {
+  const auto mechanism_row = [&](const char* check, std::size_t items, std::size_t keys,
+                                 auto&& one_by_one, auto&& batched) {
     double single_us = block_us(one_by_one);  // also builds the key tables
     double batched_us = block_us(batched);
     for (int block = 0; block < 30; ++block) {
@@ -469,24 +510,25 @@ void write_json_summary() {
     json.row("batched_checks",
              {{"check", repchain::bench::js(check)},
               {"items", repchain::bench::ju(items)},
+              {"distinct_keys", repchain::bench::ju(keys)},
               {"one_verify_per_item_us", repchain::bench::jf(single_us, 1)},
               {"batched_us", repchain::bench::jf(batched_us, 1)},
               {"speedup", repchain::bench::jf(single_us / batched_us, 3)}});
   };
-  for (const std::size_t n : {std::size_t{5}, std::size_t{16}}) {
-    const std::vector<BatchItem> wave = wave_with_malformed_item(batch_rng, n);
+  for (const auto& [n, keys] : kPerItemShapes) {
+    const std::vector<BatchItem> wave = enrolled_batch(batch_rng, n, keys);
     mechanism_row(
-        "wave_one_malformed", n,
+        "per_item_set", n, keys,
         [&] {
           for (const BatchItem& it : wave) {
             benchmark::DoNotOptimize(verify(it.pub, it.message, it.sig));
           }
         },
-        [&] { benchmark::DoNotOptimize(verify_batch_detailed(wave, batch_rng)); });
+        [&] { benchmark::DoNotOptimize(verify_batch_detailed(wave)); });
   }
   const Announcement a = ten_ticket_announcement(batch_rng);
   mechanism_row(
-      "vrf_announcement", a.proofs.size(),
+      "vrf_announcement", a.proofs.size(), 1,
       [&] {
         for (std::size_t i = 0; i < a.proofs.size(); ++i) {
           benchmark::DoNotOptimize(vrf_verify(a.key, a.alphas[i], a.proofs[i]));

@@ -17,7 +17,7 @@ struct BatchItem {
   Signature sig;
 };
 
-/// Batch signature verification with random linear combination:
+/// All-or-nothing batch verification with a random linear combination:
 ///
 ///   [8](sum_i z_i S_i) B  ==  [8] sum_i z_i R_i  +  [8] sum_i z_i k_i A_i
 ///
@@ -25,24 +25,21 @@ struct BatchItem {
 /// cannot cancel each other out except with negligible probability. This is
 /// verify()'s cofactored equation, combined: a signature whose only defect is
 /// a small-order component passes both, whatever the coefficients. Items
-/// whose keys have equal bytes fold into one A term (sum of their z_i k_i).
+/// whose keys have equal bytes fold into one A term (sum of their z_i k_i),
+/// which is what makes the combination pay off for many signatures under few
+/// keys, as a VRF announcement's tickets are.
 ///
-/// Every item is decoded first (decode_signature). A malformed item is
-/// false on its own, as verify decides it. A set with one well-formed item
-/// checks verify()'s single equation instead of the combined one, and draws
-/// no coefficients. So both functions below give the verdicts of one verify
-/// per signature (the combined equation passes a bad set with probability
-/// about 2^-128). The Rng must be a stream private to the caller.
-///
-/// verify_batch: true iff every signature in the batch is valid (true when
-/// empty).
+/// Every item is decoded first (decode_signature), and a malformed one
+/// decides the batch without drawing. A one-item batch is verify() and draws
+/// nothing either. So the verdict is that of one verify per signature (the
+/// combined equation passes a bad set with probability about 2^-128). The
+/// Rng must be a stream private to the caller. True when empty.
 [[nodiscard]] bool verify_batch(std::span<const BatchItem> items, Rng& rng);
 
-/// Per-item verdicts, each equal to verify's: the malformed items are false,
-/// and the well-formed rest are settled by one check as in verify_batch.
-/// Only when that check fails does each well-formed item check its own
-/// equation (from the parts already decoded) to locate the offenders.
-[[nodiscard]] std::vector<bool> verify_batch_detailed(std::span<const BatchItem> items,
-                                                      Rng& rng);
+/// Per-item verdicts, each verify's own: every item checks its own equation
+/// without decoding R (see verify), and the set's points share one inversion
+/// to be compressed. No randomness, so a set's verdicts depend on nothing
+/// but its items.
+[[nodiscard]] std::vector<bool> verify_batch_detailed(std::span<const BatchItem> items);
 
 }  // namespace repchain::crypto

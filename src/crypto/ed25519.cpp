@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -180,10 +181,10 @@ std::array<std::int8_t, 64> radix16_digits(const Scalar& s) {
 /// final carry.
 constexpr int kPositions = 257;
 
-/// One row of a multi-scalar multiplication: signed width-5 sliding-window
-/// digits of a scalar, valid at positions 0..top, and the 8 odd multiples
-/// P, 3P, ..., 15P they index, either Cached (computed per call) or affine
-/// Niels (precomputed).
+/// One row of a multi-scalar multiplication: signed sliding-window digits of
+/// a scalar, valid at positions 0..top, and the odd multiples P, 3P, 5P, ...
+/// they index, either Cached (computed per call) or affine Niels
+/// (precomputed).
 struct Row {
   std::array<std::int8_t, kPositions> digits{};
   int top = -1;  // highest nonzero position, -1 for a zero scalar
@@ -191,15 +192,17 @@ struct Row {
   const Niels* niels = nullptr;
 };
 
-/// Width-5 signed sliding-window digits of the (64 * nlimbs)-bit value in
-/// limbs: value = sum d[i] * 2^i with every nonzero d[i] odd in [-15, 15] and
-/// at least 5 positions after the previous one. A final carry lands on
-/// position 64 * nlimbs at the latest, so a 64-bit limb spans 65 positions,
-/// a 128-bit scalar 129 and a 256-bit one 257.
-void set_digits(Row& row, const u64* limbs, int nlimbs) {
-  const int nbits = 64 * nlimbs;
+/// Signed sliding-window digits of width w (at most 8) of the nbits-bit
+/// value in limbs: value = sum d[i] * 2^i with every nonzero d[i] odd in
+/// [-(2^(w-1) - 1), 2^(w-1) - 1], so a table of 2^(w-2) odd multiples
+/// serves it, and at least w positions after the previous one. A final carry
+/// lands on position nbits at the latest, so a 32-bit stride spans 33
+/// positions, a 128-bit scalar 129 and a 256-bit one 257. Bits of the limbs
+/// at nbits and above must be zero.
+void set_digits(Row& row, const u64* limbs, int nbits, int width) {
   u64 padded[5] = {};
-  std::copy(limbs, limbs + nlimbs, padded);
+  std::copy(limbs, limbs + (nbits + 63) / 64, padded);
+  const u64 mask = (u64{1} << width) - 1;
   std::int8_t* d = row.digits.data();
   std::fill(d, d + nbits + 1, std::int8_t{0});
   row.top = -1;
@@ -207,86 +210,120 @@ void set_digits(Row& row, const u64* limbs, int nlimbs) {
   for (int pos = 0; pos <= nbits;) {
     const int limb = pos / 64, bit = pos % 64;
     u64 bits = padded[limb] >> bit;
-    if (bit > 59) bits |= padded[limb + 1] << (64 - bit);
-    const u64 window = carry + (bits & 31);
+    if (bit > 64 - width) bits |= padded[limb + 1] << (64 - bit);
+    const u64 window = carry + (bits & mask);
     if ((window & 1) == 0) {
       ++pos;  // a zero digit; a pending carry moves up with it
       continue;
     }
-    carry = window >> 4;  // windows 17..31 become window - 32, carrying 1
-    d[pos] = static_cast<std::int8_t>(static_cast<int>(window) - static_cast<int>(carry << 5));
+    // Windows above 2^(w-1) become window - 2^w, carrying 1.
+    carry = window >> (width - 1);
+    d[pos] = static_cast<std::int8_t>(static_cast<int>(window) -
+                                      static_cast<int>(carry << width));
     row.top = pos;
-    pos += 5;
+    pos += width;
   }
 }
 
-/// P, 3P, 5P, ..., 15P in extended coordinates.
-std::array<Point, 8> odd_multiples(const Point& p) {
-  std::array<Point, 8> out;
+/// P, 3P, 5P, ..., (2N-1)P in extended coordinates.
+template <std::size_t N>
+std::array<Point, N> odd_multiples(const Point& p) {
+  std::array<Point, N> out;
   const Cached twice = to_cached(point_double(p));
   out[0] = p;
-  for (std::size_t j = 1; j < 8; ++j) out[j] = to_extended(add_cached(out[j - 1], twice, false));
+  for (std::size_t j = 1; j < N; ++j) out[j] = to_extended(add_cached(out[j - 1], twice, false));
   return out;
 }
 
 std::array<Cached, 8> cached_odd_multiples(const Point& p) {
-  const std::array<Point, 8> multiples = odd_multiples(p);
+  const std::array<Point, 8> multiples = odd_multiples<8>(p);
   std::array<Cached, 8> out;
   for (std::size_t j = 0; j < 8; ++j) out[j] = to_cached(multiples[j]);
   return out;
 }
 
-/// Table j holds the odd multiples of 2^(64j) P: the rows of a scalar's
-/// 64-bit limb j read it.
-using SplitTables = std::array<std::array<Niels, 8>, 4>;
+/// 1/Z of every point with one field inversion (Montgomery's trick: invert
+/// the product of every Z, then peel each inverse off it). Z is never zero
+/// on the curve.
+std::vector<Fe> inverse_zs(std::span<const Point> points) {
+  std::vector<Fe> out(points.size());
+  if (points.empty()) return out;
+  out[0] = points[0].Z;  // out[i] = Z_0 * ... * Z_i, until peeled
+  for (std::size_t i = 1; i < points.size(); ++i) out[i] = fe_mul(out[i - 1], points[i].Z);
+  Fe inv = fe_invert(out.back());  // 1 / (Z_0 * ... * Z_i) at the top of each step
+  for (std::size_t i = points.size() - 1; i > 0; --i) {
+    out[i] = fe_mul(inv, out[i - 1]);
+    inv = fe_mul(inv, points[i].Z);
+  }
+  out[0] = inv;
+  return out;
+}
 
-/// The split tables of p as affine addends: 192 doublings for the strides,
-/// 32 odd multiples, and one inversion shared by all 32 (Montgomery's
-/// trick: invert the product of every Z, then peel each inverse off it).
-SplitTables split_tables(const Point& p) {
-  std::array<Point, 32> multiples;
-  Point stride = p;  // 2^(64j) p
-  for (std::size_t j = 0; j < 4; ++j) {
+/// RFC 8032 encoding of p given zinv = 1/Z.
+ByteArray<32> encode(const Point& p, const Fe& zinv) {
+  ByteArray<32> out = fe_to_bytes(fe_mul(p.Y, zinv));
+  if (fe_is_negative(fe_mul(p.X, zinv))) out[31] |= 0x80;
+  return out;
+}
+
+/// A scalar's 8 strides of 32 bits; stride j is read against the odd
+/// multiples of 2^(32j) P.
+constexpr std::size_t kStrides = 8;
+
+/// Table j holds the odd multiples P, 3P, ..., (2N-1)P of 2^(32j) P.
+template <std::size_t N>
+using StrideTables = std::array<std::array<Niels, N>, kStrides>;
+
+/// The stride tables of p as affine addends: 224 doublings for the strides,
+/// 8N odd multiples, and one inversion shared by all of them.
+template <std::size_t N>
+StrideTables<N> stride_tables(const Point& p) {
+  std::vector<Point> multiples;
+  multiples.reserve(kStrides * N);
+  Point stride = p;  // 2^(32j) p
+  for (std::size_t j = 0; j < kStrides; ++j) {
     if (j > 0) {
       Projective q = to_projective(stride);
-      for (int i = 0; i < 63; ++i) q = to_projective(dbl(q));
+      for (int i = 0; i < 31; ++i) q = to_projective(dbl(q));
       stride = to_extended(dbl(q));
     }
-    const std::array<Point, 8> odd = odd_multiples(stride);
-    std::copy(odd.begin(), odd.end(), multiples.begin() + static_cast<std::ptrdiff_t>(8 * j));
+    const std::array<Point, N> odd = odd_multiples<N>(stride);
+    multiples.insert(multiples.end(), odd.begin(), odd.end());
   }
-  std::array<Fe, 32> prefix;  // prefix[i] = Z_0 * ... * Z_i
-  prefix[0] = multiples[0].Z;
-  for (std::size_t i = 1; i < 32; ++i) prefix[i] = fe_mul(prefix[i - 1], multiples[i].Z);
-  Fe inv = fe_invert(prefix[31]);  // 1 / prefix[i] at the top of each step
-  SplitTables out;
-  for (std::size_t i = 32; i-- > 0;) {
-    const Fe zinv = i > 0 ? fe_mul(inv, prefix[i - 1]) : inv;
-    out[i / 8][i % 8] = to_niels(multiples[i], zinv);
-    inv = fe_mul(inv, multiples[i].Z);
+  const std::vector<Fe> zinv = inverse_zs(multiples);
+  StrideTables<N> out;
+  for (std::size_t i = 0; i < multiples.size(); ++i) {
+    out[i / N][i % N] = to_niels(multiples[i], zinv[i]);
   }
   return out;
 }
 
-/// B's split tables, built on first use.
-const SplitTables& base_tables() {
-  static const SplitTables kTables = split_tables(point_base());
+/// B's stride tables (64 odd multiples per stride: width-8 windows), built
+/// on first use. An enrolled key's hold 16 (width 6), a quarter of the
+/// memory per key.
+const StrideTables<64>& base_tables() {
+  static const StrideTables<64> kTables = stride_tables<64>(point_base());
   return kTables;
 }
 
-/// One row per 64-bit limb of s against split tables; returns the next row.
-Row* limb_rows(Row* out, const Scalar& s, const SplitTables& tables) {
-  for (std::size_t j = 0; j < 4; ++j, ++out) {
-    set_digits(*out, &s.v[j], 1);
+/// One row per 32-bit stride of s against stride tables, in the widest
+/// windows their N odd multiples serve; returns the next row.
+template <std::size_t N>
+Row* stride_rows(Row* out, const Scalar& s, const StrideTables<N>& tables) {
+  constexpr int kWidth = std::bit_width(N) + 1;  // digits up to 2N - 1
+  for (std::size_t j = 0; j < kStrides; ++j, ++out) {
+    const u64 stride = (s.v[j / 2] >> (32 * (j % 2))) & 0xffffffffULL;
+    set_digits(*out, &stride, 32, kWidth);
     out->cached = nullptr;
     out->niels = tables[j].data();
   }
   return out;
 }
 
-/// One row over the whole of s against odd multiples computed per call.
+/// One width-5 row over the whole of s against odd multiples computed per
+/// call.
 Row* scalar_row(Row* out, const Scalar& s, const std::array<Cached, 8>& table) {
-  set_digits(*out, s.v, 4);
+  set_digits(*out, s.v, 256, 5);
   out->cached = table.data();
   out->niels = nullptr;
   return out + 1;
@@ -326,7 +363,7 @@ Scalar clamp_scalar(ByteArray<32> a) {
 }  // namespace
 
 struct KeyTables {
-  SplitTables minus_a;  // split tables of -A
+  StrideTables<16> minus_a;  // stride tables of -A
 };
 
 struct VerifyingKey::Lazy {
@@ -348,7 +385,8 @@ VerifyingKey VerifyingKey::enrolled(const PublicKey& pub) {
 const KeyTables* VerifyingKey::tables() const {
   if (!lazy_) return nullptr;
   std::call_once(lazy_->built, [this] {
-    lazy_->tables = std::make_unique<const KeyTables>(KeyTables{split_tables(point_neg(*point_))});
+    lazy_->tables =
+        std::make_unique<const KeyTables>(KeyTables{stride_tables<16>(point_neg(*point_))});
   });
   return lazy_->tables.get();
 }
@@ -392,12 +430,12 @@ Point point_base_mul(const Scalar& s) {
 Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
                              std::span<const KeyTerm> keys, const Scalar& b) {
   // Per-call tables first, sized up front so the rows' pointers stay put.
-  std::size_t row_count = terms.size() + 4;
+  std::size_t row_count = terms.size() + kStrides;
   std::size_t one_off = 0;
   for (const KeyTerm& key : keys) {
-    const bool split = key.key->tables() != nullptr;
-    row_count += split ? 4 : 1;
-    one_off += split ? 0 : 1;
+    const bool strided = key.key->tables() != nullptr;
+    row_count += strided ? kStrides : 1;
+    one_off += strided ? 0 : 1;
   }
   std::vector<std::array<Cached, 8>> tables;
   tables.reserve(terms.size() + one_off);
@@ -407,14 +445,14 @@ Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
     next = scalar_row(next, s, tables.emplace_back(cached_odd_multiples(p)));
   }
   for (const KeyTerm& key : keys) {
-    if (const KeyTables* split = key.key->tables()) {
-      next = limb_rows(next, key.s, split->minus_a);
+    if (const KeyTables* strided = key.key->tables()) {
+      next = stride_rows(next, key.s, strided->minus_a);
     } else {
       const Point minus_a = point_neg(*key.key->point());
       next = scalar_row(next, key.s, tables.emplace_back(cached_odd_multiples(minus_a)));
     }
   }
-  limb_rows(next, b, base_tables());
+  stride_rows(next, b, base_tables());
   return sum_rows(rows);
 }
 
@@ -445,12 +483,13 @@ bool point_equal(const Point& p, const Point& q) {
 
 bool point_is_identity(const Point& p) { return point_equal(p, point_identity()); }
 
-ByteArray<32> point_compress(const Point& p) {
-  const Fe zinv = fe_invert(p.Z);
-  const Fe x = fe_mul(p.X, zinv);
-  const Fe y = fe_mul(p.Y, zinv);
-  ByteArray<32> out = fe_to_bytes(y);
-  if (fe_is_negative(x)) out[31] |= 0x80;
+ByteArray<32> point_compress(const Point& p) { return encode(p, fe_invert(p.Z)); }
+
+std::vector<ByteArray<32>> point_compress_all(std::span<const Point> points) {
+  const std::vector<Fe> zinv = inverse_zs(points);
+  std::vector<ByteArray<32>> out;
+  out.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) out.push_back(encode(points[i], zinv[i]));
   return out;
 }
 
@@ -516,33 +555,52 @@ Signature SigningKey::sign(BytesView message) const {
 }
 
 bool verify(const VerifyingKey& key, BytesView message, const Signature& sig) {
-  const auto parts = decode_signature(key, message, sig);
-  return parts && check_signature(key, *parts);
+  const auto read = read_signature(key, message, sig);
+  if (!read) return false;
+  const Point p = signature_point(key, *read);
+  return signature_point_matches(p, point_compress(p), read->r);
+}
+
+std::optional<SignatureScalars> read_signature(const VerifyingKey& key, BytesView message,
+                                               const Signature& sig) {
+  if (key.point() == nullptr) return std::nullopt;
+
+  SignatureScalars out;
+  ByteArray<32> s_enc{};
+  std::copy(sig.bytes.begin(), sig.bytes.begin() + 32, out.r.begin());
+  std::copy(sig.bytes.begin() + 32, sig.bytes.end(), s_enc.begin());
+  if (!sc_is_canonical(s_enc)) return std::nullopt;
+
+  const Hash512 kh = sha512_concat({view(out.r), view(key.public_key().bytes), message});
+  ByteArray<64> kh_arr{};
+  std::copy(kh.begin(), kh.end(), kh_arr.begin());
+  out.s = sc_from_bytes(s_enc);
+  out.k = sc_from_bytes_wide(kh_arr);
+  return out;
+}
+
+Point signature_point(const VerifyingKey& key, const SignatureScalars& sig) {
+  // One shared doubling chain covers both multiplications.
+  const KeyTerm term{sig.k, &key};
+  return point_multi_scalar_mul({}, {&term, 1}, sig.s);
+}
+
+bool signature_point_matches(const Point& p, const ByteArray<32>& p_enc,
+                             const ByteArray<32>& r) {
+  // enc(P) == R's bytes means R is P's canonical encoding, so R decodes to P
+  // and P - R is the identity.
+  if (p_enc == r) return true;
+  const auto r_point = point_decompress(r);
+  return r_point && point_is_small_order(point_add(p, point_neg(*r_point)));
 }
 
 std::optional<SignatureParts> decode_signature(const VerifyingKey& key, BytesView message,
                                                const Signature& sig) {
-  if (key.point() == nullptr) return std::nullopt;
-
-  ByteArray<32> r_enc{}, s_enc{};
-  std::copy(sig.bytes.begin(), sig.bytes.begin() + 32, r_enc.begin());
-  std::copy(sig.bytes.begin() + 32, sig.bytes.end(), s_enc.begin());
-
-  if (!sc_is_canonical(s_enc)) return std::nullopt;
-  const auto r = point_decompress(r_enc);
+  const auto read = read_signature(key, message, sig);
+  if (!read) return std::nullopt;
+  const auto r = point_decompress(read->r);
   if (!r) return std::nullopt;
-
-  const Hash512 kh = sha512_concat({view(r_enc), view(key.public_key().bytes), message});
-  ByteArray<64> kh_arr{};
-  std::copy(kh.begin(), kh.end(), kh_arr.begin());
-  return SignatureParts{sc_from_bytes(s_enc), *r, sc_from_bytes_wide(kh_arr)};
-}
-
-bool check_signature(const VerifyingKey& key, const SignatureParts& parts) {
-  // One shared doubling chain covers both multiplications.
-  const KeyTerm term{parts.k, &key};
-  const Point sum = point_multi_scalar_mul({}, {&term, 1}, parts.s);
-  return point_is_small_order(point_add(sum, point_neg(parts.r)));
+  return SignatureParts{read->s, *r, read->k};
 }
 
 }  // namespace repchain::crypto

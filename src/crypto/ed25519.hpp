@@ -4,6 +4,7 @@
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/fe25519.hpp"
@@ -55,6 +56,10 @@ struct Point {
 
 /// RFC 8032 point compression: 255-bit y plus the sign bit of x.
 [[nodiscard]] ByteArray<32> point_compress(const Point& p);
+/// point_compress of every point with one shared field inversion
+/// (Montgomery's trick), so each point after the first costs a few
+/// multiplications instead of an inversion.
+[[nodiscard]] std::vector<ByteArray<32>> point_compress_all(std::span<const Point> points);
 /// Decompression; nullopt for encodings that are not on the curve.
 [[nodiscard]] std::optional<Point> point_decompress(const ByteArray<32>& in);
 
@@ -90,9 +95,10 @@ struct KeyTables;
 ///     such call, and verification multiplies -A over the whole 253-bit
 ///     scalar against odd multiples computed per call.
 ///   - enrolled (VerifyingKey::enrolled, what the Identity Manager builds per
-///     member): the first verification builds odd-multiple tables of -A,
-///     -2^64 A, -2^128 A and -2^192 A, about 4 KB, so later checks multiply
-///     A over 64-bit limbs in about 65 doublings. Copies share one build.
+///     member): the first verification builds tables of the 16 odd multiples
+///     of -2^(32j) A for each of the 8 strides j, about 15 KB, so later checks
+///     multiply A over 32-bit strides in about 33 doublings. Copies share one
+///     build.
 class VerifyingKey {
  public:
   VerifyingKey() : VerifyingKey(PublicKey{}) {}
@@ -126,16 +132,19 @@ struct KeyTerm {
 };
 
 /// sum_i [s_i]P_i + sum_k [s_k](-A_k) + [b]B in one shared doubling chain,
-/// with width-5 signed sliding windows. Every term becomes rows, and one loop
-/// runs them all; a row is the digits of a scalar against 8 odd multiples:
-///   - a point term: one row over the whole scalar, with the odd multiples of
-///     P_i computed per call;
-///   - a key term: one row per 64-bit limb of s_k against the enrolled key's
-///     tables, or one whole-scalar row like a point term for a one-off key;
-///   - [b]B: one row per 64-bit limb against four static tables of B.
-/// The chain is as long as the longest row: 65 doublings when only limbs
-/// and 64-bit scalars take part, 129 with 128-bit point scalars, 253 with
-/// full-length ones. Variable-time: for public scalars and points only.
+/// with signed sliding windows. Every term becomes rows, and one loop runs
+/// them all; a row is the digits of a scalar against a table of odd
+/// multiples:
+///   - a point term: one width-5 row over the whole scalar, with the 8 odd
+///     multiples of P_i computed per call;
+///   - a key term: one width-6 row per 32-bit stride of s_k against the
+///     enrolled key's tables, or one whole-scalar row like a point term for a
+///     one-off key;
+///   - [b]B: one width-8 row per 32-bit stride against B's static tables
+///     (64 odd multiples of 2^(32j) B per stride j, about 61 KB).
+/// The chain is as long as the longest row: 33 doublings when only strides
+/// take part, 129 with 128-bit point scalars, 253 with full-length ones.
+/// Variable-time: for public scalars and points only.
 [[nodiscard]] Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
                                            std::span<const KeyTerm> keys, const Scalar& b);
 
@@ -160,26 +169,52 @@ class SigningKey {
 /// equation [8][S]B == [8]R + [8][k]A, the same one verify_batch checks, so
 /// a signature gets one verdict either way. Returns false (never throws) on
 /// any malformed input: non-canonical S, off-curve R or A. Variable-time.
-/// Equals decode_signature followed by check_signature.
+///
+/// R is not decoded on the way to an accept: the check computes
+/// P = [S]B + [k](-A) and accepts when enc(P) is R's bytes. Only a signature
+/// that misses that (a forgery, a small-order component in R, a
+/// non-canonical encoding of R) decodes R and checks [8](P - R) = O, so the
+/// verdict is the equation's either way. Equals read_signature, then
+/// signature_point, then signature_point_matches.
 [[nodiscard]] bool verify(const VerifyingKey& key, BytesView message, const Signature& sig);
 
-/// A signature decoded for its verification equation: S, the point R and
-/// the challenge k = SHA-512(enc(R) || enc(A) || M) mod L.
+/// A signature read for verification without decoding R: S, the challenge
+/// k = SHA-512(enc(R) || enc(A) || M) mod L, and R's bytes as sent.
+struct SignatureScalars {
+  Scalar s;
+  Scalar k;
+  ByteArray<32> r;
+};
+
+/// verify()'s reading half: nullopt for a signature that verify rejects
+/// before any equation (a key in the "not a point" state, non-canonical S).
+[[nodiscard]] std::optional<SignatureScalars> read_signature(const VerifyingKey& key,
+                                                             BytesView message,
+                                                             const Signature& sig);
+
+/// P = [S]B + [k](-A): the point R must be, up to a small-order component,
+/// for the signature to verify. `key` must be the one `sig` was read under
+/// (a key holding a curve point).
+[[nodiscard]] Point signature_point(const VerifyingKey& key, const SignatureScalars& sig);
+
+/// verify()'s verdict given P = signature_point(...) and p_enc =
+/// point_compress(P): true when p_enc equals R's bytes byte for byte;
+/// otherwise R must decode and [8](P - R) be the identity.
+[[nodiscard]] bool signature_point_matches(const Point& p, const ByteArray<32>& p_enc,
+                                           const ByteArray<32>& r);
+
+/// A signature decoded for a combined equation: S, the point R and the
+/// challenge k.
 struct SignatureParts {
   Scalar s;
   Point r;
   Scalar k;
 };
 
-/// verify()'s decoding half: nullopt for a signature that verify rejects
-/// before any equation (a key in the "not a point" state, non-canonical S,
-/// R not a curve point).
+/// read_signature with R decoded: nullopt as well when R is not a curve
+/// point. verify_batch's combined equation needs every R as a point.
 [[nodiscard]] std::optional<SignatureParts> decode_signature(const VerifyingKey& key,
                                                              BytesView message,
                                                              const Signature& sig);
-
-/// verify()'s equation on decoded parts: [8]([S]B + [k](-A) - R) is the
-/// identity. `key` must be the one the parts were decoded under.
-[[nodiscard]] bool check_signature(const VerifyingKey& key, const SignatureParts& parts);
 
 }  // namespace repchain::crypto

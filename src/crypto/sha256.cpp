@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace repchain::crypto {
 
 namespace {
@@ -19,9 +23,23 @@ constexpr std::uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+/// The SHA extensions' rounds when this CPU has them, chosen once.
+Sha256::Compress fastest_compress() {
+#if defined(__x86_64__)
+  static const Sha256::Compress kChosen = sha256_has_sha_extensions()
+                                              ? &sha256_compress_sha_extensions
+                                              : &sha256_compress_portable;
+  return kChosen;
+#else
+  return &sha256_compress_portable;
+#endif
+}
 }  // namespace
 
-Sha256::Sha256() {
+Sha256::Sha256() : Sha256(fastest_compress()) {}
+
+Sha256::Sha256(Compress compress) : compress_(compress) {
   state_[0] = 0x6a09e667;
   state_[1] = 0xbb67ae85;
   state_[2] = 0x3c6ef372;
@@ -42,12 +60,12 @@ Sha256& Sha256::update(BytesView data) {
     buffer_len_ += take;
     off += take;
     if (buffer_len_ == kBlockSize) {
-      compress(buffer_);
+      compress_(state_, buffer_);
       buffer_len_ = 0;
     }
   }
   while (data.size() - off >= kBlockSize) {
-    compress(data.data() + off);
+    compress_(state_, data.data() + off);
     off += kBlockSize;
   }
   if (off < data.size()) {
@@ -65,14 +83,14 @@ Sha256::Digest Sha256::finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > kBlockSize - 8) {
     std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
-    compress(buffer_);
+    compress_(state_, buffer_);
     buffer_len_ = 0;
   }
   std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  compress(buffer_);
+  compress_(state_, buffer_);
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {
@@ -90,7 +108,7 @@ Sha256::Digest Sha256::hash(BytesView data) {
   return h.finish();
 }
 
-void Sha256::compress(const std::uint8_t* block) {
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -104,8 +122,8 @@ void Sha256::compress(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -124,15 +142,66 @@ void Sha256::compress(const std::uint8_t* block) {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+#if defined(__x86_64__)
+bool sha256_has_sha_extensions() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+// Register contents are listed from lane 0 up. The rounds instruction takes
+// the state as the lanes (f, e, b, a) and (h, g, d, c), and four message
+// words plus their round constants, of which it uses two per call.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_sha_extensions(
+    std::uint32_t* state, const std::uint8_t* block) {
+  const __m128i big_endian = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i badc =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i feba = _mm_alignr_epi8(badc, hgfe, 8);
+  __m128i hgdc = _mm_blend_epi16(hgfe, badc, 0xF0);
+  const __m128i feba_in = feba;
+  const __m128i hgdc_in = hgdc;
+
+  // w[g % 4] holds the schedule words 4g..4g+3 of group g, overwriting
+  // those of group g - 4, the oldest it needs.
+  __m128i w[4];
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    if (g < 4) {
+      w[g] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)), big_endian);
+    } else {
+      // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]) for t = 4g..4g+3.
+      const __m128i last = w[(g + 3) % 4];  // W[t-4..t-1]
+      const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]),
+                                            _mm_alignr_epi8(last, w[(g + 2) % 4], 4));
+      w[g % 4] = _mm_sha256msg2_epu32(partial, last);
+    }
+    const __m128i wk =
+        _mm_add_epi32(w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+    // Two rounds each; the state after the first two is the (h, g, d, c)
+    // of the next two.
+    hgdc = _mm_sha256rnds2_epu32(hgdc, feba, wk);
+    feba = _mm_sha256rnds2_epu32(feba, hgdc, _mm_shuffle_epi32(wk, 0x0E));
+  }
+
+  const __m128i abef = _mm_shuffle_epi32(_mm_add_epi32(feba, feba_in), 0x1B);
+  const __m128i ghcd = _mm_shuffle_epi32(_mm_add_epi32(hgdc, hgdc_in), 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(abef, ghcd, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(ghcd, abef, 8));
+}
+#endif
 
 Hash256 sha256_concat(std::initializer_list<BytesView> parts) {
   Sha256 h;

@@ -22,17 +22,14 @@ void ChainStore::append(Block block) {
     throw ProtocolError("tx_root does not commit to TXList at serial " +
                         std::to_string(block.serial));
   }
+  const crypto::Hash256 hash = block.hash();
   blocks_.push_back(std::move(block));
+  head_hash_ = hash;
 }
 
 std::optional<Block> ChainStore::retrieve(BlockSerial serial) const {
   if (serial == 0 || serial > blocks_.size()) return std::nullopt;
   return blocks_[serial - 1];
-}
-
-crypto::Hash256 ChainStore::head_hash() const {
-  if (blocks_.empty()) return crypto::Hash256{};
-  return blocks_.back().hash();
 }
 
 const Block& ChainStore::head() const {

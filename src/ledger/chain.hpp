@@ -26,8 +26,8 @@ class ChainStore {
   [[nodiscard]] bool empty() const { return blocks_.empty(); }
 
   /// Hash of the latest block; the genesis predecessor hash (all zero) when
-  /// empty.
-  [[nodiscard]] crypto::Hash256 head_hash() const;
+  /// empty. Kept from the append, not recomputed.
+  [[nodiscard]] crypto::Hash256 head_hash() const { return head_hash_; }
   [[nodiscard]] const Block& head() const;
   [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
 
@@ -53,6 +53,7 @@ class ChainStore {
 
  private:
   std::vector<Block> blocks_;
+  crypto::Hash256 head_hash_{};  // blocks_.back().hash(); only append changes blocks_
 };
 
 }  // namespace repchain::ledger

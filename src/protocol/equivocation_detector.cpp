@@ -128,7 +128,7 @@ void EquivocationDetector::on_gossip(
                                              remote.collector_sig)});
   }
   if (candidates.empty()) return;
-  batch.settle(batch_rng_);
+  batch.settle();
 
   for (const Candidate& c : candidates) {
     // Two valid signatures by the same collector over conflicting labels for

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "adversary/byzantine.hpp"
-#include "common/rng.hpp"
 #include "identity/identity_manager.hpp"
 #include "ledger/block.hpp"
 #include "ledger/transaction.hpp"
@@ -33,19 +32,13 @@ namespace repchain::protocol {
 /// again while its local label is held.
 ///
 /// The conflicting labels of one gossip message are verified together, in
-/// one VerifiedBatch whose coefficients come from `batch_rng`, a private
-/// derived stream (see ScreeningIntake).
+/// one VerifiedBatch.
 class EquivocationDetector {
  public:
   EquivocationDetector(const identity::IdentityManager& im,
                        const Directory& directory,
-                       reputation::ReputationTable& table, GovernorMetrics& metrics,
-                       Rng batch_rng)
-      : im_(im),
-        directory_(directory),
-        table_(table),
-        metrics_(metrics),
-        batch_rng_(std::move(batch_rng)) {}
+                       reputation::ReputationTable& table, GovernorMetrics& metrics)
+      : im_(im), directory_(directory), table_(table), metrics_(metrics) {}
 
   /// Remember a locally received signed label and queue it for gossip.
   void note_label(const ledger::TxId& id, const ledger::LabeledTransaction& ltx);
@@ -119,7 +112,6 @@ class EquivocationDetector {
   std::vector<ledger::LabeledTransaction> ungossiped_;
   PunishedGen punished_;
   PunishedGen punished_prev_;
-  Rng batch_rng_;
   ProposalGen seen_proposals_;
   ProposalGen seen_proposals_prev_;
   std::set<std::pair<std::uint32_t, BlockSerial>> proposal_punished_;

@@ -26,13 +26,11 @@ Governor::Governor(GovernorId id, runtime::NodeContext& ctx, crypto::SigningKey 
       engine_(table_, oracle_, ctx_.rng()),
       argues_(table_, oracle_, metrics_, config.rep.argue_latency_u),
       stake_consensus_(id, key_, im_, directory_, out_, std::move(genesis_stake)),
-      // Private coefficient streams for batched signature checks: derive()
-      // is const, so the behavioral stream sees no draws.
-      equivocation_(im_, directory_, table_, metrics_,
-                    ctx.rng().derive(0x62766B26677370ULL /* "bvk&gsp" */)),
+      equivocation_(im_, directory_, table_, metrics_),
       intake_(im_, directory_, table_, engine_, assembler_, argues_, equivocation_,
-              metrics_, ctx_.timers(), config_, visible_,
-              ctx.rng().derive(0x62766B26696E74ULL /* "bvk&int" */)),
+              metrics_, ctx_.timers(), config_, visible_),
+      // Private coefficient stream for the VRF tickets' batched check:
+      // derive() is const, so the behavioral stream sees no draws.
       election_rng_(ctx.rng().derive(0x62766B26767266ULL /* "bvk&vrf" */)),
       store_(store) {
   config_.rep.validate();

@@ -299,7 +299,7 @@ class Governor {
   Round round_ = 0;
   std::optional<ElectionState> election_;
   // Private coefficient stream for the batched check of each announcement's
-  // VRF proofs (see the intake's and the detector's streams).
+  // VRF proofs: its draws never touch the behavioral stream.
   Rng election_rng_;
   bool leader_announced_ = false;  // trace: kLeaderElected emitted this round
   std::set<GovernorId> expelled_;

@@ -78,7 +78,7 @@ void ScreeningIntake::on_upload(const runtime::Message& msg) {
 
 void ScreeningIntake::flush() {
   flush_armed_ = false;
-  batch_.settle(batch_rng_);
+  batch_.settle();
   for (PendingUpload& pu : pending_uploads_) {
     if (pu.provider_in_batch && batch_.ok(pu.provider_check)) {
       provider_sig_memo_.insert_or_assign(pu.id, pu.ltx.tx.provider_sig);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "adversary/byzantine.hpp"
-#include "common/rng.hpp"
 #include "identity/identity_manager.hpp"
 #include "ledger/transaction.hpp"
 #include "protocol/argue_service.hpp"
@@ -36,16 +35,13 @@ namespace repchain::protocol {
 /// gates inline, queues the surviving signatures in a VerifiedBatch, and
 /// arms a zero-delay flush timer. All uploads landing at one instant —
 /// collector bursts collapsed onto a single delivery time by the atomic
-/// broadcast's in-order rule — settle through one VerifiedBatch (a
-/// malformed signature, such as a forged upload's random bytes, is decided
-/// alone and leaves the rest of the wave to one combined check), then flow
-/// through the per-upload pipeline in arrival order. A
-/// (TxId, signature) memo
-/// additionally skips re-verifying a provider signature this governor
-/// already proved genuine for an earlier reporter of the same transaction.
-/// The batch coefficients draw from a private derived Rng stream, so
-/// behavioral streams (and the fixed-seed goldens pinned to them) are
-/// untouched.
+/// broadcast's in-order rule — settle through one VerifiedBatch (each
+/// signature checks its own equation and the wave shares one field
+/// inversion), then flow through the per-upload pipeline in arrival order. A
+/// (TxId, signature) memo additionally skips re-verifying a provider
+/// signature this governor already proved genuine for an earlier reporter of
+/// the same transaction. Settling draws no randomness, so behavioral streams
+/// (and the fixed-seed goldens pinned to them) are untouched.
 class ScreeningIntake {
  public:
   ScreeningIntake(const identity::IdentityManager& im, const Directory& directory,
@@ -53,11 +49,10 @@ class ScreeningIntake {
                   BlockAssembler& assembler, ArgueService& argues,
                   EquivocationDetector& equivocation, GovernorMetrics& metrics,
                   runtime::TimerService& timers, const GovernorConfig& config,
-                  const std::set<CollectorId>& visible, Rng batch_rng)
+                  const std::set<CollectorId>& visible)
       : im_(im), directory_(directory), table_(table), engine_(engine),
         assembler_(assembler), argues_(argues), equivocation_(equivocation),
-        metrics_(metrics), timers_(timers), config_(config), visible_(visible),
-        batch_rng_(std::move(batch_rng)) {}
+        metrics_(metrics), timers_(timers), config_(config), visible_(visible) {}
 
   /// A kCollectorUpload delivery.
   void on_upload(const runtime::Message& msg);
@@ -168,9 +163,7 @@ class ScreeningIntake {
 
   // Batched verification state. The flush timer fires at the same SimTime
   // as the deliveries it covers (zero delay), so trace timestamps and every
-  // cross-instant ordering are unchanged; coefficient draws come from the
-  // private batch_rng_ stream only.
-  Rng batch_rng_;
+  // cross-instant ordering are unchanged.
   VerifiedBatch batch_;
   std::vector<PendingUpload> pending_uploads_;
   bool flush_armed_ = false;

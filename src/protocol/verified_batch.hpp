@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/rng.hpp"
 #include "crypto/batch_verify.hpp"
 
 namespace repchain::protocol {
@@ -23,17 +22,12 @@ namespace repchain::protocol {
 /// enrollment, role, revocation, link structure — via
 /// IdentityManager::verification_key. Items that fail a gate, or that hit a
 /// verified-signature memo, enter the batch pre-decided; the rest carry a
-/// (key, message, sig) triple and are settled together. settle() decodes
-/// every triple: a malformed one is false on its own, a lone well-formed one
-/// checks the single equation, and the rest share one random-linear-
-/// combination check, with a per-item check of each only when that fails.
-/// The per-item verdicts are therefore exactly what per-item
-/// authenticate/authorize calls would have produced, at a fraction of the
-/// scalar-multiplication cost.
-///
-/// The Rng passed to settle() must be a private derived stream: coefficient
-/// draws depend on batch composition and must never perturb behavioral
-/// streams that fixed-seed goldens pin.
+/// (key, message, sig) triple and are settled together: each triple checks
+/// verify's own equation without decoding its R, and the set's points share
+/// one field inversion (see crypto::verify_batch_detailed). The per-item
+/// verdicts are therefore exactly what per-item authenticate/authorize calls
+/// would have produced, at a fraction of the cost. Settling draws no
+/// randomness.
 class VerifiedBatch {
  public:
   using Index = std::size_t;
@@ -65,7 +59,7 @@ class VerifiedBatch {
 
   /// Run the queued checks with crypto::verify_batch_detailed. Idempotent
   /// once settled.
-  void settle(Rng& rng);
+  void settle();
 
   /// Per-item verdict; only valid after settle().
   [[nodiscard]] bool ok(Index i) const { return verdicts_[i] == kTrue; }

@@ -104,7 +104,7 @@ TEST(BatchVerify, DetailedLocatesOffenders) {
   auto items = make_batch(rng, 6);
   items[2].message[0] ^= 1;
   items[5].sig.bytes[0] ^= 1;
-  const auto result = verify_batch_detailed(items, rng);
+  const auto result = verify_batch_detailed(items);
   ASSERT_EQ(result.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(result[i], i != 2 && i != 5) << i;
@@ -114,15 +114,30 @@ TEST(BatchVerify, DetailedLocatesOffenders) {
 TEST(BatchVerify, DetailedAllValidShortCircuits) {
   Rng rng(9);
   const auto items = make_batch(rng, 4);
-  const auto result = verify_batch_detailed(items, rng);
+  const auto result = verify_batch_detailed(items);
   for (bool ok : result) EXPECT_TRUE(ok);
 }
 
-// --- Mixed batches: malformed items are decided alone -----------------------
+// --- Mixed batches: every item gets verify's verdict --------------------------
 
-enum class Kind { kHonest, kForged, kNonCanonicalS, kOffCurveR, kSmallOrderR, kKeyNotAPoint };
-constexpr Kind kKinds[] = {Kind::kHonest,    Kind::kForged,      Kind::kNonCanonicalS,
-                           Kind::kOffCurveR, Kind::kSmallOrderR, Kind::kKeyNotAPoint};
+// The kinds past kKeyNotAPoint aim at the check that compares enc([S]B - [k]A)
+// with R's bytes: a negated R matches its y but not its sign, a non-canonical
+// encoding of the right point differs in y's bytes yet decodes to it, and
+// random bytes are whatever they decode to.
+enum class Kind {
+  kHonest,
+  kForged,
+  kNonCanonicalS,
+  kOffCurveR,
+  kSmallOrderR,
+  kKeyNotAPoint,
+  kNegatedR,
+  kNonCanonicalR,
+  kRandomBytes,
+};
+constexpr Kind kKinds[] = {Kind::kHonest,       Kind::kForged,       Kind::kNonCanonicalS,
+                           Kind::kOffCurveR,    Kind::kSmallOrderR,  Kind::kKeyNotAPoint,
+                           Kind::kNegatedR,     Kind::kNonCanonicalR, Kind::kRandomBytes};
 
 Scalar random_scalar(Rng& rng) {
   ByteArray<64> wide{};
@@ -141,16 +156,19 @@ ByteArray<32> not_a_point(Rng& rng) {
   }
 }
 
-/// Builds batch items of each kind over three signers who know their secret
-/// scalars, so they can also sign with a nonce point R + T for T of order 8.
+/// Builds batch items of each kind over signers who know their secret
+/// scalars, so they can also sign with a nonce point R + T for T of order 8,
+/// negate their nonce, or encode R as they like. Keys are dealt at random,
+/// each item's as an enrolled or a one-off copy, or only enrolled copies.
 class ItemMaker {
  public:
-  explicit ItemMaker(Rng& rng) : rng_(rng) {
+  explicit ItemMaker(Rng& rng, int signers = 3, bool only_enrolled = false)
+      : rng_(rng), only_enrolled_(only_enrolled) {
     const Bytes t = from_hex("c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a");
     ByteArray<32> t_enc{};
     std::copy(t.begin(), t.end(), t_enc.begin());
     order8_ = *point_decompress(t_enc);
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < signers; ++i) {
       Signer s;
       s.a = random_scalar(rng_);
       s.pub.bytes = point_compress(point_base_mul(s.a));
@@ -163,11 +181,22 @@ class ItemMaker {
     const Signer& signer = signers_[rng_.uniform(signers_.size())];
     BatchItem item;
     // Enrolled and one-off copies of one key fold into one A term.
-    item.pub = rng_.bernoulli(0.5) ? signer.enrolled : VerifyingKey(signer.pub);
+    item.pub = only_enrolled_ || rng_.bernoulli(0.5) ? signer.enrolled : VerifyingKey(signer.pub);
     item.message = rng_.bytes(24);
     const Point torsion = kind == Kind::kSmallOrderR ? order8_ : point_identity();
     item.sig = sign(signer, random_scalar(rng_), torsion, item.message);
     switch (kind) {
+      case Kind::kNegatedR:
+        item.sig = sign_negated(signer, random_scalar(rng_), item.message);
+        break;
+      case Kind::kNonCanonicalR:
+        item.sig = sign_non_canonical_r(signer, item.message);
+        break;
+      case Kind::kRandomBytes: {
+        const Bytes raw = rng_.bytes(64);
+        std::copy(raw.begin(), raw.end(), item.sig.bytes.begin());
+        break;
+      }
       case Kind::kForged:
         item.message[0] ^= 1;  // well-formed, but the equation fails
         break;
@@ -198,21 +227,52 @@ class ItemMaker {
     VerifyingKey enrolled;
   };
 
-  /// S = r + k a for R = [r]B + torsion.
-  static Signature sign(const Signer& signer, const Scalar& r, const Point& torsion,
-                        BytesView message) {
-    Signature sig;
-    const ByteArray<32> r_enc = point_compress(point_add(point_base_mul(r), torsion));
-    std::copy(r_enc.begin(), r_enc.end(), sig.bytes.begin());
+  /// k = H(R || A || M) for R's bytes as given.
+  static Scalar challenge(const ByteArray<32>& r_enc, const Signer& signer, BytesView message) {
     const Hash512 kh = sha512_concat({view(r_enc), view(signer.pub.bytes), message});
     ByteArray<64> wide{};
     std::copy(kh.begin(), kh.end(), wide.begin());
-    const ByteArray<32> s_enc = sc_to_bytes(sc_muladd(sc_from_bytes_wide(wide), signer.a, r));
+    return sc_from_bytes_wide(wide);
+  }
+
+  /// The signature (R's bytes, S).
+  static Signature assemble(const ByteArray<32>& r_enc, const Scalar& s) {
+    Signature sig;
+    const ByteArray<32> s_enc = sc_to_bytes(s);
+    std::copy(r_enc.begin(), r_enc.end(), sig.bytes.begin());
     std::copy(s_enc.begin(), s_enc.end(), sig.bytes.begin() + 32);
     return sig;
   }
 
+  /// S = r + k a for R = [r]B + torsion.
+  static Signature sign(const Signer& signer, const Scalar& r, const Point& torsion,
+                        BytesView message) {
+    const ByteArray<32> r_enc = point_compress(point_add(point_base_mul(r), torsion));
+    return assemble(r_enc, sc_muladd(challenge(r_enc, signer, message), signer.a, r));
+  }
+
+  /// S = k a - r for R = [r]B, so [S]B - [k]A = -R: R's y, the other sign.
+  /// verify rejects it.
+  static Signature sign_negated(const Signer& signer, const Scalar& r, BytesView message) {
+    const ByteArray<32> r_enc = point_compress(point_base_mul(r));
+    const Scalar minus_one{{0x5812631a5cf5d3ecULL, 0x14def9dea2f79cd6ULL, 0, 0x1000000000000000ULL}};
+    const Scalar minus_r = sc_muladd(minus_one, r, sc_zero());
+    return assemble(r_enc, sc_muladd(challenge(r_enc, signer, message), signer.a, minus_r));
+  }
+
+  /// R the identity (y = 1) encoded as y = p + 1, and S = k a. R decodes,
+  /// and the equation holds, so verify accepts what no canonical
+  /// compression can match.
+  static Signature sign_non_canonical_r(const Signer& signer, BytesView message) {
+    ByteArray<32> r_enc;
+    r_enc.fill(0xff);
+    r_enc[0] = 0xee;  // 2^255 - 18 = p + 1
+    r_enc[31] = 0x7f;
+    return assemble(r_enc, sc_muladd(challenge(r_enc, signer, message), signer.a, sc_zero()));
+  }
+
   Rng& rng_;
+  bool only_enrolled_;
   Point order8_;
   std::vector<Signer> signers_;
 };
@@ -223,10 +283,11 @@ TEST(MixedBatch, EachKindHasItsVerdict) {
   for (int trial = 0; trial < 8; ++trial) {
     for (const Kind kind : kKinds) {
       const BatchItem item = maker.make(kind);
-      const bool valid = kind == Kind::kHonest || kind == Kind::kSmallOrderR;
+      const bool valid = kind == Kind::kHonest || kind == Kind::kSmallOrderR ||
+                         kind == Kind::kNonCanonicalR;
       EXPECT_EQ(verify(item.pub, item.message, item.sig), valid) << static_cast<int>(kind);
-      const bool well_formed = kind == Kind::kHonest || kind == Kind::kSmallOrderR ||
-                               kind == Kind::kForged;
+      if (kind == Kind::kRandomBytes) continue;  // it decodes or not by chance
+      const bool well_formed = valid || kind == Kind::kForged || kind == Kind::kNegatedR;
       EXPECT_EQ(decode_signature(item.pub, item.message, item.sig).has_value(), well_formed)
           << static_cast<int>(kind);
     }
@@ -255,7 +316,7 @@ TEST(MixedBatch, DetailedEqualsVerifyAndBatchEqualsTheirAnd) {
           expected.push_back(verify(it.pub, it.message, it.sig));
           all = all && expected.back();
         }
-        ASSERT_EQ(verify_batch_detailed(items, coeffs), expected)
+        ASSERT_EQ(verify_batch_detailed(items), expected)
             << "n=" << n << " pos=" << pos << " kind=" << static_cast<int>(kind);
         ASSERT_EQ(verify_batch(items, coeffs), all)
             << "n=" << n << " pos=" << pos << " kind=" << static_cast<int>(kind);
@@ -265,17 +326,14 @@ TEST(MixedBatch, DetailedEqualsVerifyAndBatchEqualsTheirAnd) {
 }
 
 TEST(MixedBatch, OnlyTwoOrMoreWellFormedItemsDrawCoefficients) {
-  // A malformed item stays out of the combined equation, and a set with one
-  // well-formed item checks verify's single equation: neither draws.
+  // verify_batch draws one coefficient per item of a combined equation: a
+  // one-item batch is verify, and a malformed item decides the batch before
+  // any draw. Per-item verdicts (verify_batch_detailed) take no Rng at all.
   Rng rng(2304);
   ItemMaker maker(rng);
-  const auto draws = [](const std::vector<BatchItem>& items, bool detailed) {
+  const auto draws = [](const std::vector<BatchItem>& items) {
     Rng coeffs(2305);
-    if (detailed) {
-      (void)verify_batch_detailed(items, coeffs);
-    } else {
-      (void)verify_batch(items, coeffs);
-    }
+    (void)verify_batch(items, coeffs);
     for (int n = 0; n <= 16; ++n) {
       Rng reference(2305);
       for (int i = 0; i < n; ++i) (void)reference.bytes(16);
@@ -284,18 +342,67 @@ TEST(MixedBatch, OnlyTwoOrMoreWellFormedItemsDrawCoefficients) {
     return -1;
   };
   const std::vector<BatchItem> one = {maker.make(Kind::kHonest)};
-  EXPECT_EQ(draws(one, false), 0);
-  EXPECT_EQ(draws(one, true), 0);
-  const std::vector<BatchItem> one_well_formed = {maker.make(Kind::kOffCurveR),
-                                                  maker.make(Kind::kForged)};
-  EXPECT_EQ(draws(one_well_formed, true), 0);
+  EXPECT_EQ(draws(one), 0);
   std::vector<BatchItem> wave;
   for (int i = 0; i < 5; ++i) wave.push_back(maker.make(Kind::kHonest));
   wave[2] = maker.make(Kind::kNonCanonicalS);
-  EXPECT_EQ(draws(wave, true), 4);
-  EXPECT_EQ(draws(wave, false), 0);  // all-or-nothing: decided by the decode
+  EXPECT_EQ(draws(wave), 0);  // all-or-nothing: decided by the decode
   wave[2] = maker.make(Kind::kHonest);
-  EXPECT_EQ(draws(wave, false), 5);
+  EXPECT_EQ(draws(wave), 5);
+}
+
+TEST(MixedBatch, PerItemVerdictsEqualVerifyOverOneToFiveEnrolledKeys) {
+  // Sets of 1-16 items under 1-5 enrolled keys, one item of each kind at a
+  // random position and the rest honest or of a random kind: every verdict of
+  // the per-item path (one shared inversion, the fallback for a mismatch) is
+  // verify's, and none depends on the items beside it.
+  for (int keys = 1; keys <= 5; ++keys) {
+    Rng rng(2306 + static_cast<std::uint64_t>(keys));
+    ItemMaker maker(rng, keys, /*only_enrolled=*/true);
+    for (std::size_t n = 1; n <= 16; ++n) {
+      for (const Kind kind : kKinds) {
+        const std::size_t pos = rng.uniform(n);
+        std::vector<BatchItem> items;
+        for (std::size_t i = 0; i < n; ++i) {
+          const Kind k = i == pos                ? kind
+                         : rng.bernoulli(0.5) ? Kind::kHonest
+                                              : kKinds[rng.uniform(std::size(kKinds))];
+          items.push_back(maker.make(k));
+        }
+        std::vector<bool> expected;
+        for (const BatchItem& it : items) expected.push_back(verify(it.pub, it.message, it.sig));
+        ASSERT_EQ(verify_batch_detailed(items), expected)
+            << "keys=" << keys << " n=" << n << " pos=" << pos
+            << " kind=" << static_cast<int>(kind);
+        ASSERT_EQ(verify_batch_detailed(std::span(items).subspan(pos, 1)),
+                  std::vector<bool>{expected[pos]})
+            << "keys=" << keys << " n=" << n << " kind=" << static_cast<int>(kind);
+      }
+    }
+  }
+}
+
+TEST(MixedBatch, ReplayedSignatureIsJudgedOnItsOwnMessage) {
+  // An item carrying another item's valid signature over its own message:
+  // its R bytes are exactly that item's compressed point, so only its own
+  // point may be compared with them, wherever the two sit in the set.
+  Rng rng(2307);
+  ItemMaker maker(rng, 2, /*only_enrolled=*/true);
+  for (std::size_t n = 2; n <= 6; ++n) {
+    for (std::size_t from = 0; from < n; ++from) {
+      for (std::size_t to = 0; to < n; ++to) {
+        if (from == to) continue;
+        std::vector<BatchItem> items;
+        for (std::size_t i = 0; i < n; ++i) items.push_back(maker.make(Kind::kHonest));
+        items[to].pub = items[from].pub;
+        items[to].sig = items[from].sig;
+        std::vector<bool> expected(n, true);
+        expected[to] = false;
+        ASSERT_EQ(verify(items[to].pub, items[to].message, items[to].sig), false);
+        ASSERT_EQ(verify_batch_detailed(items), expected) << n << " " << from << "->" << to;
+      }
+    }
+  }
 }
 
 TEST(MultiScalarMul, MatchesIndependentLadders) {

@@ -280,7 +280,7 @@ TEST(Differential, BatchWithOneForgeryAtEachPositionMatchesVerify) {
       std::vector<BatchItem> batch = items;
       batch[forged].sig.bytes[forged % 2 == 0 ? 5 : 40] ^= 0x10;  // R or S
       EXPECT_FALSE(verify_batch(batch, rng)) << "n=" << n << " forged=" << forged;
-      const std::vector<bool> detailed = verify_batch_detailed(batch, rng);
+      const std::vector<bool> detailed = verify_batch_detailed(batch);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(detailed[i], verify(batch[i].pub, batch[i].message, batch[i].sig));
         EXPECT_EQ(detailed[i], i != forged);
@@ -313,7 +313,7 @@ TEST(Differential, OffCurveKeyVerifiesNothing) {
   EXPECT_FALSE(vrf_verify(key, msg, sig).has_value());
   const std::vector<BatchItem> batch = {{signer.public_key(), msg, sig}, {pub, msg, sig}};
   EXPECT_FALSE(verify_batch(batch, rng));
-  EXPECT_EQ(verify_batch_detailed(batch, rng), (std::vector<bool>{true, false}));
+  EXPECT_EQ(verify_batch_detailed(batch), (std::vector<bool>{true, false}));
 }
 
 TEST(Differential, DecodedKeyMatchesDecompression) {

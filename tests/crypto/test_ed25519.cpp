@@ -124,6 +124,26 @@ TEST(Ed25519Group, CompressDecompressRoundTrip) {
   }
 }
 
+TEST(Ed25519Group, CompressAllEqualsCompressingEachPoint) {
+  // One inversion shared by sets of 0-17 points: sums (Z != 1), the
+  // identity and a point of order 4 among them.
+  Rng rng(2402);
+  const Point order4 = *point_decompress(ByteArray<32>{});
+  for (std::size_t n = 0; n <= 17; ++n) {
+    std::vector<Point> points;
+    for (std::size_t i = 0; i < n; ++i) {
+      Point p = point_add(point_base_mul(scalar_from_u64(rng.next_u64())),
+                          point_base_mul(scalar_from_u64(rng.next_u64())));
+      if (i % 7 == 3) p = point_identity();
+      if (i % 7 == 5) p = point_add(p, order4);
+      points.push_back(p);
+    }
+    const std::vector<ByteArray<32>> all = point_compress_all(points);
+    ASSERT_EQ(all.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(all[i], point_compress(points[i])) << n << " " << i;
+  }
+}
+
 TEST(Ed25519Group, DecompressRejectsOffCurve) {
   // Brute scan: some encodings must be rejected (roughly half of y values
   // have no matching x).

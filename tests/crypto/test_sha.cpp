@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 
@@ -69,6 +71,35 @@ TEST(Sha256, BoundarySizesDiffer) {
 TEST(Sha256, ConcatHelper) {
   const Bytes a = msg("ab"), b = msg("c");
   EXPECT_EQ(sha256_concat({a, b}), Sha256::hash(msg("abc")));
+}
+
+// The portable compression is the reference: the known-answer vectors above
+// run on whichever path this CPU picks, and the SHA-extension rounds must
+// give the portable rounds' state from any state and block, and the same
+// digests over every message length up to 300 bytes (0 to 5 blocks, every
+// padding split).
+TEST(Sha256, ShaExtensionsMatchPortableCompress) {
+#if defined(__x86_64__)
+  if (!sha256_has_sha_extensions()) GTEST_SKIP() << "this CPU has no SHA extensions";
+  Rng rng(2401);
+  for (int i = 0; i < 2000; ++i) {
+    std::array<std::uint32_t, 8> portable{};
+    for (std::uint32_t& word : portable) word = static_cast<std::uint32_t>(rng.next_u64());
+    std::array<std::uint32_t, 8> extensions = portable;
+    const Bytes block = rng.bytes(Sha256::kBlockSize);
+    sha256_compress_portable(portable.data(), block.data());
+    sha256_compress_sha_extensions(extensions.data(), block.data());
+    ASSERT_EQ(extensions, portable) << "state and block " << i;
+  }
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes data = rng.bytes(len);
+    const Hash256 reference = Sha256(&sha256_compress_portable).update(data).finish();
+    ASSERT_EQ(Sha256(&sha256_compress_sha_extensions).update(data).finish(), reference) << len;
+    ASSERT_EQ(Sha256::hash(data), reference) << len;
+  }
+#else
+  GTEST_SKIP() << "the SHA-extension path is x86-64 only";
+#endif
 }
 
 TEST(Sha512, EmptyString) {

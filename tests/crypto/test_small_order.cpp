@@ -122,11 +122,11 @@ TEST_P(SmallOrder, OneVerdictFromSingleBatchAndDetailed) {
   const std::vector<BatchItem> paired = {
       {VerifyingKey::enrolled(honest_key.public_key()), honest_msg, honest_key.sign(honest_msg)},
       {key, message, sig}};
+  EXPECT_EQ(verify_batch_detailed(paired), (std::vector<bool>{true, single}));
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
     Rng coeffs(seed);
     ASSERT_EQ(verify_batch(alone, coeffs), single) << "seed " << seed;
-    ASSERT_EQ(verify_batch_detailed(paired, coeffs), (std::vector<bool>{true, single}))
-        << "seed " << seed;
+    ASSERT_EQ(verify_batch(paired, coeffs), single) << "seed " << seed;
   }
 }
 
@@ -168,7 +168,7 @@ TEST(SmallOrderKey, VerifiesNothing) {
       EXPECT_FALSE(verify(pub, message, forged)) << i;
       const std::vector<BatchItem> batch = {honest_item, {enrolled, message, forged}};
       EXPECT_FALSE(verify_batch(batch, rng)) << i;
-      EXPECT_EQ(verify_batch_detailed(batch, rng), (std::vector<bool>{true, false})) << i;
+      EXPECT_EQ(verify_batch_detailed(batch), (std::vector<bool>{true, false})) << i;
     }
   }
 }

@@ -1,4 +1,4 @@
-// Enrolled keys multiply -A over 64-bit limbs against split tables; one-off
+// Enrolled keys multiply -A over 32-bit strides against stride tables; one-off
 // keys (a PublicKey converted per call) still take the full-length row. The
 // one-off path and oracle.hpp's ladder are the two oracles here: enrolled
 // verification, enrolled multiplication and batches over enrolled keys must
@@ -64,7 +64,7 @@ TEST(SplitTables, EnrolledVerifyMatchesOneOffAndLadder) {
   }
 }
 
-// Scalars whose 64-bit limbs are zero, all ones, or L - 1's.
+// Scalars whose 64-bit limbs or 32-bit strides are zero, all ones, or L - 1's.
 std::vector<Scalar> edge_scalars() {
   constexpr u64 kOnes = ~u64{0};
   return {
@@ -78,6 +78,8 @@ std::vector<Scalar> edge_scalars() {
       Scalar{{kOnes, 0, kOnes, 0}},
       Scalar{{0, kOnes, 0, 0x0fffffffffffffffULL}},
       Scalar{{0x5812631a5cf5d3ecULL, 0x14def9dea2f79cd6ULL, 0, 0x1000000000000000ULL}},  // L-1
+      Scalar{{0xffffffffULL, 0xffffffff00000000ULL, 0xffffffffULL, 0x0fffffff00000000ULL}},
+      Scalar{{0xffffffff00000000ULL, 0xffffffffULL, 0xffffffff00000000ULL, 0xffffffffULL}},
   };
 }
 
@@ -179,7 +181,7 @@ TEST(SplitTables, BatchesMatchPerItemVerify) {
         std::vector<BatchItem> batch = items;
         batch[forged].sig.bytes[forged % 2 == 0 ? 3 : 35] ^= 0x04;  // R or S
         EXPECT_FALSE(verify_batch(batch, rng)) << "n=" << n << " forged=" << forged;
-        const std::vector<bool> detailed = verify_batch_detailed(batch, rng);
+        const std::vector<bool> detailed = verify_batch_detailed(batch);
         for (std::size_t i = 0; i < n; ++i) {
           const bool single = verify(batch[i].pub, batch[i].message, batch[i].sig);
           EXPECT_EQ(detailed[i], single) << "n=" << n << " forged=" << forged << " i=" << i;

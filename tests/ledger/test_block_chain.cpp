@@ -218,6 +218,33 @@ TEST(ChainStore, CountStatus) {
   EXPECT_EQ(chain.count_status(TxStatus::kArguedValid), 0u);
 }
 
+TEST(ChainStore, HeadHashIsTheHeadBlocksHashAfterAppendsCopiesAndLoad) {
+  Fixture f;
+  ChainStore chain;
+  for (BlockSerial s = 1; s <= 4; ++s) {
+    chain.append(f.make_chain_block(s, chain.head_hash(), s));
+    EXPECT_EQ(chain.head_hash(), chain.head().hash()) << s;
+  }
+  // A rejected append leaves the head, and so its hash, as it was.
+  EXPECT_THROW(chain.append(f.make_chain_block(6, chain.head_hash())), ProtocolError);
+  EXPECT_EQ(chain.head_hash(), chain.head().hash());
+
+  ChainStore copy = chain;
+  EXPECT_EQ(copy.head_hash(), chain.head().hash());
+  copy.append(f.make_chain_block(5, copy.head_hash()));
+  EXPECT_EQ(copy.head_hash(), copy.head().hash());
+  EXPECT_NE(copy.head_hash(), chain.head_hash()) << "the copy's append moved only its head";
+  const ChainStore moved = std::move(copy);
+  EXPECT_EQ(moved.head_hash(), moved.head().hash());
+
+  const auto path = std::filesystem::temp_directory_path() / "repchain_head_hash_chain.bin";
+  moved.save(path);
+  const ChainStore loaded = ChainStore::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.head_hash(), loaded.head().hash());
+  EXPECT_EQ(loaded.head_hash(), moved.head_hash());
+}
+
 TEST(ChainStorePersistence, SaveLoadRoundTrip) {
   Fixture f;
   ChainStore chain;

@@ -142,7 +142,7 @@ struct DetectorEdgeFixture : ::testing::Test {
   crypto::SigningKey provider_key{crypto::random_seed(rng)};
   crypto::SigningKey collector_key{crypto::random_seed(rng)};
   crypto::SigningKey leader_key{crypto::random_seed(rng)};
-  protocol::EquivocationDetector detector{im, directory, table, metrics, Rng(67)};
+  protocol::EquivocationDetector detector{im, directory, table, metrics};
   int evidence_fired = 0;
 };
 
@@ -207,7 +207,7 @@ TEST_F(DetectorEdgeFixture, TruncatedGossipPayloadIgnoredEvenWithValidPrefix) {
   detector.note_label(
       tx.id(), ledger::make_labeled(tx, ledger::Label::kValid, CollectorId(0),
                                     collector_key));
-  protocol::EquivocationDetector peer(im, directory, table, metrics, Rng(68));
+  protocol::EquivocationDetector peer(im, directory, table, metrics);
   peer.note_label(tx.id(),
                   ledger::make_labeled(tx, ledger::Label::kInvalid, CollectorId(0),
                                        collector_key));

@@ -322,7 +322,7 @@ struct EquivocationFixture : ::testing::Test {
   GovernorMetrics metrics;
   crypto::SigningKey provider_key{crypto::random_seed(rng)};
   crypto::SigningKey collector_key{crypto::random_seed(rng)};
-  EquivocationDetector detector{im, directory, table, metrics, Rng(56)};
+  EquivocationDetector detector{im, directory, table, metrics};
 };
 
 TEST_F(EquivocationFixture, ConflictingLabelsPunishedOncePerTx) {
@@ -348,7 +348,7 @@ TEST_F(EquivocationFixture, GossipPayloadRoundTripsAndDrains) {
   EXPECT_FALSE(detector.take_gossip_payload().has_value());  // drained
 
   // A peer holding the conflicting label detects through the payload path.
-  EquivocationDetector peer(im, directory, table, metrics, Rng(57));
+  EquivocationDetector peer(im, directory, table, metrics);
   peer.note_label(tx.id(), ledger::make_labeled(tx, Label::kInvalid,
                                                 CollectorId(0), collector_key));
   peer.on_gossip_payload(*payload);
