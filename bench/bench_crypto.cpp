@@ -1,19 +1,18 @@
 // Crypto substrate microbenchmarks (plumbing cost context for every other
 // experiment): SHA-256 on each compression path and SHA-512 throughput, the
 // field, scalar and group operations under Ed25519, Ed25519
-// keygen/sign/verify, batch verification, VRF evaluate/verify, Merkle tree
-// construction, and each set of signatures a governor checks at once
-// against the one verification per signature it replaces (an intake wave's
-// per-item verdicts, a 10-ticket VRF announcement). Verification rows come
-// in two kinds: one-off keys (a PublicKey converted per call, the
-// full-length path) and enrolled keys (VerifyingKey::enrolled, stride
-// tables), as the Identity Manager's members verify.
+// keygen/sign/verify, VRF evaluate/verify, Merkle tree construction, and
+// each set of signatures a governor checks at once against the one
+// verification per signature it replaces (an intake wave's per-item
+// verdicts, a 10-ticket VRF announcement). Verification rows come in two
+// kinds: one-off keys (a PublicKey converted per call, the full-length path)
+// and enrolled keys (VerifyingKey::enrolled, stride tables), as the Identity
+// Manager's members verify.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -220,37 +219,6 @@ void bm_vrf_verify(benchmark::State& state) {
 }
 BENCHMARK(bm_vrf_verify)->Name("vrf_verify");
 
-void bm_batch_verify(benchmark::State& state) {
-  Rng rng(11);
-  std::vector<BatchItem> items;
-  for (int i = 0; i < state.range(0); ++i) {
-    const SigningKey key(random_seed(rng));
-    BatchItem item;
-    item.pub = key.public_key();
-    item.message = rng.bytes(64);
-    item.sig = key.sign(item.message);
-    items.push_back(std::move(item));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(verify_batch(items, rng));
-  }
-  // items/sec = amortized per-signature verification throughput.
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-// 3 and 5: perfbench's mean upload wave and the mean VerifiedBatch flush.
-BENCHMARK(bm_batch_verify)
-    ->Arg(3)
-    ->Arg(4)
-    ->Arg(5)
-    ->Arg(16)
-    ->Arg(64)
-    ->Name("batch_verify/sigs");
-
-/// Shapes of the enrolled-key batch rows: {items, distinct keys}. A
-/// governor's upload flush holds about 5 items over about 3 keys.
-constexpr std::pair<std::size_t, std::size_t> kEnrolledShapes[] = {
-    {3, 1}, {3, 3}, {5, 1}, {5, 3}, {5, 5}, {16, 1}, {16, 3}, {16, 16}};
-
 /// n signed items over `keys` distinct enrolled keys, dealt round-robin.
 std::vector<BatchItem> enrolled_batch(Rng& rng, std::size_t n, std::size_t keys) {
   std::vector<SigningKey> signers;
@@ -269,25 +237,6 @@ std::vector<BatchItem> enrolled_batch(Rng& rng, std::size_t n, std::size_t keys)
   }
   return items;
 }
-
-void bm_batch_verify_enrolled(benchmark::State& state) {
-  Rng rng(11);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<BatchItem> items =
-      enrolled_batch(rng, n, static_cast<std::size_t>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(verify_batch(items, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(bm_batch_verify_enrolled)
-    ->Apply([](benchmark::internal::Benchmark* b) {
-      for (const auto& [n, keys] : kEnrolledShapes) {
-        b->Args({static_cast<std::int64_t>(n), static_cast<std::int64_t>(keys)});
-      }
-    })
-    ->ArgNames({"sigs", "keys"})
-    ->Name("batch_verify(enrolled)");
 
 /// A governor's 10-ticket VRF announcement: proofs over ten alphas under
 /// one enrolled key.
@@ -342,23 +291,6 @@ BENCHMARK(bm_per_item_set)
     ->ArgNames({"sigs", "keys", "batched"})
     ->Name("per_item_set(enrolled)");
 
-// Ten signatures under one enrolled key, as a VRF announcement's tickets:
-// verify_batch's combined equation (combined:1) against per-item verdicts.
-void bm_tickets_under_one_key(benchmark::State& state) {
-  Rng rng(14);
-  const std::vector<BatchItem> items = enrolled_batch(rng, 10, 1);
-  const bool combined = state.range(0) != 0;
-  for (auto _ : state) {
-    if (combined) {
-      benchmark::DoNotOptimize(verify_batch(items, rng));
-    } else {
-      benchmark::DoNotOptimize(verify_batch_detailed(items));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 10);
-}
-BENCHMARK(bm_tickets_under_one_key)->Arg(0)->Arg(1)->ArgName("combined")->Name("ten_under_one_key");
-
 // A 10-ticket announcement: one vrf_verify per ticket, or vrf_verify_all.
 void bm_vrf_announcement(benchmark::State& state) {
   Rng rng(13);
@@ -366,7 +298,7 @@ void bm_vrf_announcement(benchmark::State& state) {
   const bool batched = state.range(0) != 0;
   for (auto _ : state) {
     if (batched) {
-      benchmark::DoNotOptimize(vrf_verify_all(a.key, a.alphas, a.proofs, rng));
+      benchmark::DoNotOptimize(vrf_verify_all(a.key, a.alphas, a.proofs));
     } else {
       for (std::size_t i = 0; i < a.proofs.size(); ++i) {
         benchmark::DoNotOptimize(vrf_verify(a.key, a.alphas[i], a.proofs[i]));
@@ -433,66 +365,11 @@ void write_json_summary() {
     benchmark::DoNotOptimize(vrf_verify(key.public_key(), alpha, vrf.proof));
   });
 
-  // Batch-vs-single verification: the hot-path intake trades N single
-  // verifies for one randomized batch equation, so the headline here is
-  // amortized signatures/second and the speedup factor over the
-  // one-at-a-time path with the same kind of key. One-off rows use a
-  // distinct converted PublicKey per item; enrolled rows deal the items
-  // over 1, 3 or n enrolled keys.
-  const auto batch_row = [&](const char* kind, std::size_t n, std::size_t keys,
-                             double items_per_sec, double single_per_sec) {
-    json.row("batch_verification",
-             {{"keys", repchain::bench::js(kind)},
-              {"batch_size", repchain::bench::ju(n)},
-              {"distinct_keys", repchain::bench::ju(keys)},
-              {"items_per_second", repchain::bench::jf(items_per_sec, 1)},
-              {"single_items_per_second", repchain::bench::jf(single_per_sec, 1)},
-              {"speedup_vs_single",
-               repchain::bench::jf(
-                   single_per_sec > 0.0 ? items_per_sec / single_per_sec : 0.0, 3)}});
-  };
-  std::vector<BatchItem> items;
-  Rng batch_rng(101);
-  for (int i = 0; i < 64; ++i) {
-    const SigningKey k(random_seed(batch_rng));
-    BatchItem item;
-    item.pub = k.public_key();
-    item.message = batch_rng.bytes(64);
-    item.sig = k.sign(item.message);
-    items.push_back(std::move(item));
-  }
-  const double single_per_sec = ops_per_sec(256, [&] {
-    const auto& it = items[0];
-    benchmark::DoNotOptimize(verify(it.pub, it.message, it.sig));
-  });
-  for (const std::size_t n : {std::size_t{3}, std::size_t{4}, std::size_t{5}, std::size_t{16},
-                              std::size_t{64}}) {
-    const std::span<const BatchItem> chunk(items.data(), n);
-    const int reps = static_cast<int>(256 / n) + 1;
-    const double batches_per_sec = ops_per_sec(reps, [&] {
-      benchmark::DoNotOptimize(verify_batch(chunk, batch_rng));
-    });
-    batch_row("one-off", n, n, batches_per_sec * static_cast<double>(n), single_per_sec);
-  }
-  for (const auto& [n, keys] : kEnrolledShapes) {
-    const std::vector<BatchItem> chunk = enrolled_batch(batch_rng, n, keys);
-    const auto& first = chunk.front();
-    (void)verify(first.pub, first.message, first.sig);  // build the tables untimed
-    const double enrolled_single_per_sec = ops_per_sec(256, [&] {
-      benchmark::DoNotOptimize(verify(first.pub, first.message, first.sig));
-    });
-    const int reps = static_cast<int>(256 / n) + 1;
-    const double batches_per_sec = ops_per_sec(reps, [&] {
-      benchmark::DoNotOptimize(verify_batch(chunk, batch_rng));
-    });
-    batch_row("enrolled", n, keys, batches_per_sec * static_cast<double>(n),
-              enrolled_single_per_sec);
-  }
-
   // Each batched check against the one verification per signature it
   // replaces, in microseconds per set. The two are timed in alternating
   // blocks of 10 sets and each keeps its fastest block, so a slow spell of
   // the machine hits both sides and sets neither number.
+  Rng set_rng(101);
   const auto block_us = [](auto&& fn) {
     constexpr int kSets = 10;
     const auto t0 = clock::now();
@@ -516,7 +393,7 @@ void write_json_summary() {
               {"speedup", repchain::bench::jf(single_us / batched_us, 3)}});
   };
   for (const auto& [n, keys] : kPerItemShapes) {
-    const std::vector<BatchItem> wave = enrolled_batch(batch_rng, n, keys);
+    const std::vector<BatchItem> wave = enrolled_batch(set_rng, n, keys);
     mechanism_row(
         "per_item_set", n, keys,
         [&] {
@@ -526,7 +403,7 @@ void write_json_summary() {
         },
         [&] { benchmark::DoNotOptimize(verify_batch_detailed(wave)); });
   }
-  const Announcement a = ten_ticket_announcement(batch_rng);
+  const Announcement a = ten_ticket_announcement(set_rng);
   mechanism_row(
       "vrf_announcement", a.proofs.size(), 1,
       [&] {
@@ -534,7 +411,7 @@ void write_json_summary() {
           benchmark::DoNotOptimize(vrf_verify(a.key, a.alphas[i], a.proofs[i]));
         }
       },
-      [&] { benchmark::DoNotOptimize(vrf_verify_all(a.key, a.alphas, a.proofs, batch_rng)); });
+      [&] { benchmark::DoNotOptimize(vrf_verify_all(a.key, a.alphas, a.proofs)); });
   json.write();
 }
 

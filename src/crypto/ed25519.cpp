@@ -181,8 +181,8 @@ std::array<std::int8_t, 64> radix16_digits(const Scalar& s) {
 /// final carry.
 constexpr int kPositions = 257;
 
-/// One row of a multi-scalar multiplication: signed sliding-window digits of
-/// a scalar, valid at positions 0..top, and the odd multiples P, 3P, 5P, ...
+/// One row of a point multiplication: signed sliding-window digits of a
+/// scalar, valid at positions 0..top, and the odd multiples P, 3P, 5P, ...
 /// they index, either Cached (computed per call) or affine Niels
 /// (precomputed).
 struct Row {
@@ -427,43 +427,11 @@ Point point_base_mul(const Scalar& s) {
   return h;
 }
 
-Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
-                             std::span<const KeyTerm> keys, const Scalar& b) {
-  // Per-call tables first, sized up front so the rows' pointers stay put.
-  std::size_t row_count = terms.size() + kStrides;
-  std::size_t one_off = 0;
-  for (const KeyTerm& key : keys) {
-    const bool strided = key.key->tables() != nullptr;
-    row_count += strided ? kStrides : 1;
-    one_off += strided ? 0 : 1;
-  }
-  std::vector<std::array<Cached, 8>> tables;
-  tables.reserve(terms.size() + one_off);
-  std::vector<Row> rows(row_count);
-  Row* next = rows.data();
-  for (const auto& [s, p] : terms) {
-    next = scalar_row(next, s, tables.emplace_back(cached_odd_multiples(p)));
-  }
-  for (const KeyTerm& key : keys) {
-    if (const KeyTables* strided = key.key->tables()) {
-      next = stride_rows(next, key.s, strided->minus_a);
-    } else {
-      const Point minus_a = point_neg(*key.key->point());
-      next = scalar_row(next, key.s, tables.emplace_back(cached_odd_multiples(minus_a)));
-    }
-  }
-  stride_rows(next, b, base_tables());
-  return sum_rows(rows);
-}
-
-Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
-                             const Scalar& b) {
-  return point_multi_scalar_mul(terms, {}, b);
-}
-
 Point point_double_scalar_mul(const Scalar& a, const Point& p, const Scalar& b) {
-  const std::pair<Scalar, Point> term{a, p};
-  return point_multi_scalar_mul({&term, 1}, {}, b);
+  const std::array<Cached, 8> table = cached_odd_multiples(p);
+  std::array<Row, 1 + kStrides> rows;
+  stride_rows(scalar_row(rows.data(), a, table), b, base_tables());
+  return sum_rows(rows);
 }
 
 bool point_is_small_order(const Point& p) {
@@ -580,9 +548,11 @@ std::optional<SignatureScalars> read_signature(const VerifyingKey& key, BytesVie
 }
 
 Point signature_point(const VerifyingKey& key, const SignatureScalars& sig) {
-  // One shared doubling chain covers both multiplications.
-  const KeyTerm term{sig.k, &key};
-  return point_multi_scalar_mul({}, {&term, 1}, sig.s);
+  const KeyTables* tables = key.tables();
+  if (tables == nullptr) return point_double_scalar_mul(sig.k, point_neg(*key.point()), sig.s);
+  std::array<Row, 2 * kStrides> rows;
+  stride_rows(stride_rows(rows.data(), sig.k, tables->minus_a), sig.s, base_tables());
+  return sum_rows(rows);
 }
 
 bool signature_point_matches(const Point& p, const ByteArray<32>& p_enc,
@@ -592,15 +562,6 @@ bool signature_point_matches(const Point& p, const ByteArray<32>& p_enc,
   if (p_enc == r) return true;
   const auto r_point = point_decompress(r);
   return r_point && point_is_small_order(point_add(p, point_neg(*r_point)));
-}
-
-std::optional<SignatureParts> decode_signature(const VerifyingKey& key, BytesView message,
-                                               const Signature& sig) {
-  const auto read = read_signature(key, message, sig);
-  if (!read) return std::nullopt;
-  const auto r = point_decompress(read->r);
-  if (!r) return std::nullopt;
-  return SignatureParts{read->s, *r, read->k};
 }
 
 }  // namespace repchain::crypto

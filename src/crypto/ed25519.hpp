@@ -3,7 +3,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -35,14 +34,12 @@ struct Point {
 /// VRF proofs.
 [[nodiscard]] Point point_base_mul(const Scalar& s);
 
-/// sum_i [s_i]P_i + [b]B in one shared doubling chain; see the three-term
-/// overload below. Each P_i gets a table of odd multiples computed per call,
-/// so a 253-bit scalar costs about 253 doublings and 42 additions.
-/// Variable-time: for public scalars and points only.
-[[nodiscard]] Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
-                                           const Scalar& b = sc_zero());
-
-/// [a]P + [b]B: point_multi_scalar_mul with one term. Variable-time.
+/// [a]P + [b]B in one shared doubling chain, with signed sliding windows:
+/// the digits of a (width 5) against the 8 odd multiples of P computed per
+/// call, and those of each 32-bit stride of b (width 8) against B's static
+/// tables (64 odd multiples of 2^(32j) B per stride j, about 61 KB). A
+/// 253-bit a costs about 253 doublings and 42 additions. Variable-time: for
+/// public scalars and points only.
 [[nodiscard]] Point point_double_scalar_mul(const Scalar& a, const Point& p,
                                             const Scalar& b);
 
@@ -125,29 +122,6 @@ class VerifyingKey {
   std::shared_ptr<Lazy> lazy_;  // enrolled keys only
 };
 
-/// A key term of a multi-scalar multiplication: [s](-A) for key's point A.
-struct KeyTerm {
-  Scalar s;
-  const VerifyingKey* key = nullptr;  // must hold a curve point
-};
-
-/// sum_i [s_i]P_i + sum_k [s_k](-A_k) + [b]B in one shared doubling chain,
-/// with signed sliding windows. Every term becomes rows, and one loop runs
-/// them all; a row is the digits of a scalar against a table of odd
-/// multiples:
-///   - a point term: one width-5 row over the whole scalar, with the 8 odd
-///     multiples of P_i computed per call;
-///   - a key term: one width-6 row per 32-bit stride of s_k against the
-///     enrolled key's tables, or one whole-scalar row like a point term for a
-///     one-off key;
-///   - [b]B: one width-8 row per 32-bit stride against B's static tables
-///     (64 odd multiples of 2^(32j) B per stride j, about 61 KB).
-/// The chain is as long as the longest row: 33 doublings when only strides
-/// take part, 129 with 128-bit point scalars, 253 with full-length ones.
-/// Variable-time: for public scalars and points only.
-[[nodiscard]] Point point_multi_scalar_mul(std::span<const std::pair<Scalar, Point>> terms,
-                                           std::span<const KeyTerm> keys, const Scalar& b);
-
 /// Signing key with the expanded secret cached; deterministic signatures per
 /// RFC 8032 (no signing-time randomness — also what makes the VRF well
 /// defined, see vrf.hpp). Signing is constant-time in the secret scalar and
@@ -166,8 +140,9 @@ class SigningKey {
 };
 
 /// Verify an Ed25519 signature by RFC 8032 section 5.1.7's cofactored
-/// equation [8][S]B == [8]R + [8][k]A, the same one verify_batch checks, so
-/// a signature gets one verdict either way. Returns false (never throws) on
+/// equation [8][S]B == [8]R + [8][k]A. It is the only equation: a set of
+/// signatures (verify_batch_detailed) checks it per item, so a signature gets
+/// one verdict whichever way it is checked. Returns false (never throws) on
 /// any malformed input: non-canonical S, off-curve R or A. Variable-time.
 ///
 /// R is not decoded on the way to an accept: the check computes
@@ -194,7 +169,11 @@ struct SignatureScalars {
 
 /// P = [S]B + [k](-A): the point R must be, up to a small-order component,
 /// for the signature to verify. `key` must be the one `sig` was read under
-/// (a key holding a curve point).
+/// (a key holding a curve point). One shared doubling chain covers both
+/// multiplications: [S]B over B's stride tables as in point_double_scalar_mul,
+/// and [k](-A) either over 32-bit strides against an enrolled key's tables
+/// (width-6 windows, so the chain is 33 doublings long) or, for a one-off key,
+/// over the whole scalar against odd multiples of -A computed per call.
 [[nodiscard]] Point signature_point(const VerifyingKey& key, const SignatureScalars& sig);
 
 /// verify()'s verdict given P = signature_point(...) and p_enc =
@@ -202,19 +181,5 @@ struct SignatureScalars {
 /// otherwise R must decode and [8](P - R) be the identity.
 [[nodiscard]] bool signature_point_matches(const Point& p, const ByteArray<32>& p_enc,
                                            const ByteArray<32>& r);
-
-/// A signature decoded for a combined equation: S, the point R and the
-/// challenge k.
-struct SignatureParts {
-  Scalar s;
-  Point r;
-  Scalar k;
-};
-
-/// read_signature with R decoded: nullopt as well when R is not a curve
-/// point. verify_batch's combined equation needs every R as a point.
-[[nodiscard]] std::optional<SignatureParts> decode_signature(const VerifyingKey& key,
-                                                             BytesView message,
-                                                             const Signature& sig);
 
 }  // namespace repchain::crypto

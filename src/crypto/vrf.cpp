@@ -1,5 +1,7 @@
 #include "crypto/vrf.hpp"
 
+#include <algorithm>
+
 #include "crypto/batch_verify.hpp"
 
 namespace repchain::crypto {
@@ -29,14 +31,15 @@ std::optional<Hash512> vrf_verify(const VerifyingKey& key, BytesView alpha,
 
 std::optional<std::vector<Hash512>> vrf_verify_all(const VerifyingKey& key,
                                                    std::span<const Bytes> alphas,
-                                                   std::span<const Signature> proofs, Rng& rng) {
+                                                   std::span<const Signature> proofs) {
   if (alphas.size() != proofs.size()) return std::nullopt;
   std::vector<BatchItem> items;
   items.reserve(proofs.size());
   for (std::size_t i = 0; i < proofs.size(); ++i) {
     items.push_back(BatchItem{key, alphas[i], proofs[i]});
   }
-  if (!verify_batch(items, rng)) return std::nullopt;
+  const std::vector<bool> verdicts = verify_batch_detailed(items);
+  if (std::find(verdicts.begin(), verdicts.end(), false) != verdicts.end()) return std::nullopt;
   std::vector<Hash512> outputs;
   outputs.reserve(proofs.size());
   for (const Signature& proof : proofs) outputs.push_back(output_from_proof(proof));

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/rng.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/sha512.hpp"
 
@@ -36,14 +35,13 @@ struct VrfResult {
 [[nodiscard]] std::optional<Hash512> vrf_verify(const VerifyingKey& key, BytesView alpha,
                                                 const Signature& proof);
 
-/// Verify proofs[i] for alphas[i] under one key, all in one verify_batch
-/// (one A term; coefficients from `rng`, a stream private to the caller).
-/// Returns every output, in order, iff every proof verifies, so the verdict
-/// is that of one vrf_verify per proof; nullopt as well when the lengths
-/// differ.
+/// Verify proofs[i] for alphas[i] under one key, every proof by its own
+/// equation in one verify_batch_detailed call. Returns every output, in
+/// order, iff every proof verifies, so the verdict is that of one vrf_verify
+/// per proof; nullopt as well when the lengths differ.
 [[nodiscard]] std::optional<std::vector<Hash512>> vrf_verify_all(
     const VerifyingKey& key, std::span<const Bytes> alphas,
-    std::span<const Signature> proofs, Rng& rng);
+    std::span<const Signature> proofs);
 
 /// First 8 bytes of the VRF output as a big-endian integer — the "hash value"
 /// compared in leader election (least wins).

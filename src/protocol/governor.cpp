@@ -29,9 +29,6 @@ Governor::Governor(GovernorId id, runtime::NodeContext& ctx, crypto::SigningKey 
       equivocation_(im_, directory_, table_, metrics_),
       intake_(im_, directory_, table_, engine_, assembler_, argues_, equivocation_,
               metrics_, ctx_.timers(), config_, visible_),
-      // Private coefficient stream for the VRF tickets' batched check:
-      // derive() is const, so the behavioral stream sees no draws.
-      election_rng_(ctx.rng().derive(0x62766B26767266ULL /* "bvk&vrf" */)),
       store_(store) {
   config_.rep.validate();
   for (const NodeId n : directory_.governor_nodes()) {
@@ -134,10 +131,6 @@ void Governor::arm_round(Round round, SimTime t0, const RoundTiming& timing) {
       arm_round(round + 1, t0 + auto_timing_.round_span, auto_timing_);
     });
   }
-}
-
-void Governor::drive_rounds(Round first, const RoundTiming& timing) {
-  drive_rounds(first, ctx_.now(), timing);
 }
 
 void Governor::drive_rounds(Round first, SimTime t0, const RoundTiming& timing) {
@@ -259,8 +252,7 @@ void Governor::on_vrf(const runtime::Message& msg) {
   if (expelled_.contains(announce.governor)) reshare_expulsion(announce.governor);
   const auto announcer_node = directory_.find_node(announce.governor);
   if (!announcer_node) return;  // names no registered governor
-  const bool fresh =
-      election_->add_announcement(announce, im_, *announcer_node, election_rng_);
+  const bool fresh = election_->add_announcement(announce, im_, *announcer_node);
   // Echo relay (reliable mode): forward a first-seen valid announcement to
   // the remaining governors over our own channel, so its delivery no longer
   // depends on the announcer staying alive to retransmit it. Without the

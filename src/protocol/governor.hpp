@@ -83,14 +83,11 @@ class Governor {
   /// Schedule all phase deadlines of `round` starting at absolute time `t0`.
   void arm_round(Round round, SimTime t0, const RoundTiming& timing);
 
-  /// Fully autonomous mode: arm `first` now and chain each following round
-  /// after round_span, forever. Used where no harness exists at all.
-  void drive_rounds(Round first, const RoundTiming& timing);
-
-  /// Autonomous mode with an explicit start time: free-running cluster nodes
-  /// align their local round boundaries to a driver-announced t0 (now or in
-  /// the near future) so peers begin each round within network skew of each
-  /// other rather than at whatever instant the process came up.
+  /// Fully autonomous mode: arm `first` at t0 and chain each following round
+  /// after round_span, forever. Free-running cluster nodes align their local
+  /// round boundaries to a driver-announced t0 (now or in the near future) so
+  /// peers begin each round within network skew of each other rather than at
+  /// whatever instant the process came up.
   void drive_rounds(Round first, SimTime t0, const RoundTiming& timing);
 
   /// Start round r: reset election state and broadcast own VRF tickets.
@@ -298,9 +295,6 @@ class Governor {
 
   Round round_ = 0;
   std::optional<ElectionState> election_;
-  // Private coefficient stream for the batched check of each announcement's
-  // VRF proofs: its draws never touch the behavioral stream.
-  Rng election_rng_;
   bool leader_announced_ = false;  // trace: kLeaderElected emitted this round
   std::set<GovernorId> expelled_;
   // Held equivocation proofs per expelled governor, re-broadcast (at most

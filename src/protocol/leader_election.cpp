@@ -12,7 +12,7 @@ ElectionState::ElectionState(Round round, const StakeLedger& stake,
 
 bool ElectionState::add_announcement(const VrfAnnounceMsg& msg,
                                      const identity::IdentityManager& im,
-                                     NodeId sender_node, Rng& rng) {
+                                     NodeId sender_node) {
   if (msg.round != round_) return false;
   const auto it = expected_.find(msg.governor);
   if (it == expected_.end()) return false;        // unknown or expelled governor
@@ -35,8 +35,8 @@ bool ElectionState::add_announcement(const VrfAnnounceMsg& msg,
     alphas.push_back(vrf_alpha(round_, t.governor, t.unit));
     proofs.push_back(t.proof);
   }
-  // Every ticket's VRF proof against the governor's enrolled key, at once.
-  const auto outputs = crypto::vrf_verify_all(*key, alphas, proofs, rng);
+  // Every ticket's VRF proof against the governor's enrolled key.
+  const auto outputs = crypto::vrf_verify_all(*key, alphas, proofs);
   if (!outputs) return false;
 
   seen_.insert(msg.governor);

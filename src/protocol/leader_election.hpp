@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "crypto/vrf.hpp"
 #include "identity/identity_manager.hpp"
 #include "protocol/messages.hpp"
@@ -27,12 +26,12 @@ class ElectionState {
   /// Verify and absorb an announcement. Returns false (and ignores the
   /// message) if it is malformed: wrong round, wrong ticket count vs stake,
   /// ticket for a different governor, bad VRF proof, duplicate. The ticket
-  /// checks run first; then every proof is checked in one batch under the
-  /// announcer's enrolled key (crypto::vrf_verify_all), with coefficients
-  /// from `rng`, a stream private to the caller. The announcement is
-  /// accepted or rejected as a whole, as one vrf_verify per ticket decides.
+  /// checks run first; then every proof is checked under the announcer's
+  /// enrolled key (crypto::vrf_verify_all, one equation per proof). The
+  /// announcement is accepted or rejected as a whole: one bad proof rejects
+  /// it.
   bool add_announcement(const VrfAnnounceMsg& msg, const identity::IdentityManager& im,
-                        NodeId sender_node, Rng& rng);
+                        NodeId sender_node);
 
   [[nodiscard]] bool complete() const;
   /// The winner once complete (or once closed on a quorum); nullopt before.

@@ -16,10 +16,10 @@ namespace repchain::protocol {
 /// Two front-ends use it. ScreeningIntake's upload flush settles a
 /// same-instant wave of uploads; EquivocationDetector settles the
 /// conflicting labels of one gossip message. (ElectionState checks an
-/// announcement's VRF tickets with crypto::vrf_verify_all, which is
-/// all-or-nothing; StakeConsensus verifies its quorum signatures one at a
-/// time.) A front-end runs the non-cryptographic gates per item first —
-/// enrollment, role, revocation, link structure — via
+/// announcement's VRF tickets with crypto::vrf_verify_all, the same per-item
+/// check with one verdict for the announcement; StakeConsensus verifies its
+/// quorum signatures one at a time.) A front-end runs the non-cryptographic
+/// gates per item first — enrollment, role, revocation, link structure — via
 /// IdentityManager::verification_key. Items that fail a gate, or that hit a
 /// verified-signature memo, enter the batch pre-decided; the rest carry a
 /// (key, message, sig) triple and are settled together: each triple checks

@@ -69,10 +69,6 @@ void Observation::end_round(const Wiring& wiring, const GovernorStates& states) 
   pending_.expected_loss_delta = after.ref_expected_loss - before_.ref_expected_loss;
   pending_.argues_delta = after.argues - before_.argues;
   history_.push_back(pending_);
-  if (bounded_history_ != 0 && history_.size() > bounded_history_) {
-    history_.erase(history_.begin(),
-                   history_.end() - static_cast<std::ptrdiff_t>(bounded_history_));
-  }
 }
 
 void Observation::sample_rewards(const ScenarioConfig& config,

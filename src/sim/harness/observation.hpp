@@ -62,14 +62,6 @@ class Observation {
     leader_counts_.assign(governors, 0);
   }
 
-  /// Cap the per-round history at the newest `cap` records (ring-buffer
-  /// semantics) and bound the RoundObserver's round map likewise. 0 (the
-  /// default) keeps everything — the classic behaviour.
-  void set_bounded_history(std::size_t cap) {
-    bounded_history_ = cap;
-    observer_.set_retention(cap);
-  }
-
   /// Record the before-counters of a new round.
   void begin_round(Round round, const Wiring& wiring, const GovernorStates& states);
   /// Assemble and append the round's RoundRecord from the observer and the
@@ -121,7 +113,6 @@ class Observation {
   std::vector<std::uint64_t> leader_counts_;
   std::vector<RoundRecord> history_;
   ledger::BeaconLog beacon_;
-  std::size_t bounded_history_ = 0;
 
   // Captured by begin_round, consumed by end_round.
   RoundRecord pending_;

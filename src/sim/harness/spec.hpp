@@ -177,10 +177,6 @@ struct ScenarioConfig {
   /// meaningful with shard_count > 1; 0 keeps the workload RNG stream
   /// untouched.
   double cross_shard_probability = 0.0;
-  /// Cap Observation's per-round history and reward series at this many
-  /// entries (ring buffer semantics: the newest N are kept). 0 = unbounded,
-  /// the classic behaviour.
-  std::size_t bounded_history = 0;
 
   std::uint64_t seed = 1;
 };

@@ -12,10 +12,11 @@ namespace {
 // v1 predates sharding; v2 appends shard_count / anchor_interval /
 // cross_shard_probability / bounded_history; v3 drops the scenario-level
 // reliable_delivery boolean (the governor's flag is the one setting); v4
-// appends the crash schedule, which the free-running cluster executes. The
+// appends the crash schedule, which the free-running cluster executes; v5
+// drops bounded_history (the harness keeps every round's record). The
 // version byte leads the encoding, so universes of different versions can
 // never present the same genesis hash.
-constexpr std::uint8_t kConfigVersion = 4;
+constexpr std::uint8_t kConfigVersion = 5;
 
 /// Crash and adversary plans index the live node arrays directly, so an
 /// index past its topology count must never reach the harness. A crash plan
@@ -161,7 +162,6 @@ Bytes encode_config(const ScenarioConfig& c) {
   w.u64(c.shard_count);
   w.u64(c.anchor_interval);
   w.f64(c.cross_shard_probability);
-  w.u64(c.bounded_history);
   w.u32(static_cast<std::uint32_t>(c.crashes.size()));
   for (const CrashPlan& plan : c.crashes) {
     w.u64(plan.governor);
@@ -231,7 +231,6 @@ ScenarioConfig decode_config(BytesView data) {
   c.shard_count = r.u64();
   c.anchor_interval = r.u64();
   c.cross_shard_probability = r.f64();
-  c.bounded_history = r.u64();
   const std::uint32_t crashes = r.u32();
   r.expect_count(crashes, 4 * 8);
   for (std::uint32_t i = 0; i < crashes; ++i) {

@@ -39,17 +39,6 @@ void RoundObserver::on_event(const runtime::TraceEvent& ev) {
       rounds_.try_emplace(ev.round);
       break;
   }
-  prune();
-}
-
-void RoundObserver::prune() {
-  while (retention_ != 0 && rounds_.size() > retention_) {
-    auto oldest = rounds_.begin();
-    for (auto it = rounds_.begin(); it != rounds_.end(); ++it) {
-      if (it->first < oldest->first) oldest = it;
-    }
-    rounds_.erase(oldest);
-  }
 }
 
 std::optional<GovernorId> RoundObserver::leader(Round round) const {

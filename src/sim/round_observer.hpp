@@ -61,19 +61,12 @@ class RoundObserver final : public runtime::TraceSink {
     return dead_peer_events_;
   }
 
-  /// Keep only the newest `rounds` round entries (0 = unbounded, the
-  /// default). Long sweeps over large populations set this so the per-round
-  /// map stays memory-bounded; global tallies are unaffected.
-  void set_retention(std::size_t rounds) { retention_ = rounds; }
-
  private:
   struct Entry {
     std::optional<GovernorId> leader;
     std::size_t block_txs = 0;
     std::optional<SimTime> commit_at;
   };
-
-  void prune();
 
   std::optional<NodeId> watched_;
   std::unordered_map<Round, Entry> rounds_;
@@ -82,7 +75,6 @@ class RoundObserver final : public runtime::TraceSink {
   std::uint64_t cross_shard_rejected_ = 0;
   std::uint64_t delivery_failures_ = 0;
   std::uint64_t dead_peer_events_ = 0;
-  std::size_t retention_ = 0;
 };
 
 }  // namespace repchain::sim

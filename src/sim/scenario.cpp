@@ -18,7 +18,6 @@ Scenario::Scenario(ScenarioConfig config, GovernorLink* remote)
   FaultPlan::install_adversary(config_, *wiring_, queue_);
 
   observation_.init(config_.topology.collectors, config_.topology.governors);
-  observation_.set_bounded_history(config_.bounded_history);
 }
 
 Scenario::~Scenario() = default;

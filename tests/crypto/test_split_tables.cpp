@@ -1,9 +1,9 @@
 // Enrolled keys multiply -A over 32-bit strides against stride tables; one-off
 // keys (a PublicKey converted per call) still take the full-length row. The
 // one-off path and oracle.hpp's ladder are the two oracles here: enrolled
-// verification, enrolled multiplication and batches over enrolled keys must
-// agree with both, and the lazily built tables must be shared, built once,
-// and safe to build from several threads at once.
+// verification, signature_point under an enrolled key and sets over enrolled
+// keys must agree with both, and the lazily built tables must be shared,
+// built once, and safe to build from several threads at once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,13 +19,6 @@ namespace repchain::crypto {
 namespace {
 
 using u64 = std::uint64_t;
-
-Scalar random_scalar(Rng& rng) {
-  ByteArray<64> wide{};
-  const Bytes raw = rng.bytes(64);
-  std::copy(raw.begin(), raw.end(), wide.begin());
-  return sc_from_bytes_wide(wide);
-}
 
 ::testing::AssertionResult same_point(const Point& p, const Point& q) {
   if (point_compress(p) == point_compress(q)) return ::testing::AssertionSuccess();
@@ -92,14 +85,13 @@ TEST(SplitTables, EdgeScalarsMatchOneOffAndLadder) {
   const std::vector<Scalar> scalars = edge_scalars();
   for (const Scalar& k : scalars) {
     for (const Scalar& s : scalars) {
-      const KeyTerm by_tables{k, &enrolled};
-      const KeyTerm full_row{k, &one_off};
-      const Point fast = point_multi_scalar_mul({}, {&by_tables, 1}, s);
+      const SignatureScalars sig{s, k, {}};  // [s]B + [k](-A)
+      const Point fast = signature_point(enrolled, sig);
       const Point slow =
           point_add(point_scalar_mul(minus_a, k), point_scalar_mul(point_base(), s));
       EXPECT_TRUE(same_point(fast, slow)) << to_hex(view(sc_to_bytes(k))) << " "
                                           << to_hex(view(sc_to_bytes(s)));
-      EXPECT_TRUE(same_point(point_multi_scalar_mul({}, {&full_row, 1}, s), slow));
+      EXPECT_TRUE(same_point(signature_point(one_off, sig), slow));
     }
   }
   // The same edge values as a signature's S: rejected on every path.
@@ -109,34 +101,6 @@ TEST(SplitTables, EdgeScalarsMatchOneOffAndLadder) {
     const ByteArray<32> s_enc = sc_to_bytes(s);
     std::copy(s_enc.begin(), s_enc.end(), sig.bytes.begin() + 32);
     EXPECT_FALSE(verify_three_ways(signer, message, sig)) << to_hex(view(s_enc));
-  }
-}
-
-TEST(SplitTables, MixedTermsMatchLadders) {
-  Rng rng(1803);
-  for (std::size_t n = 0; n <= 6; ++n) {
-    std::vector<SigningKey> signers;
-    std::vector<VerifyingKey> keys;
-    for (std::size_t i = 0; i < n; ++i) {
-      signers.emplace_back(random_seed(rng));
-      keys.push_back(i % 2 == 0 ? VerifyingKey::enrolled(signers.back().public_key())
-                                : VerifyingKey(signers.back().public_key()));
-    }
-    const Scalar b = random_scalar(rng);
-    Point expected = point_scalar_mul(point_base(), b);
-    std::vector<std::pair<Scalar, Point>> points;
-    std::vector<KeyTerm> key_terms;
-    for (std::size_t i = 0; i < n; ++i) {
-      Scalar z = random_scalar(rng);
-      z.v[2] = z.v[3] = 0;  // 128-bit, as batch coefficients are
-      const Point p = point_base_mul(random_scalar(rng));
-      points.emplace_back(z, p);
-      expected = point_add(expected, point_scalar_mul(p, z));
-      const Scalar k = random_scalar(rng);
-      key_terms.push_back(KeyTerm{k, &keys[i]});
-      expected = point_add(expected, point_scalar_mul(point_neg(*keys[i].point()), k));
-    }
-    EXPECT_TRUE(same_point(point_multi_scalar_mul(points, key_terms, b), expected)) << n;
   }
 }
 

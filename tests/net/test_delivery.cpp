@@ -26,8 +26,11 @@ namespace {
 
 using runtime::Delivery;
 
+// Plain bytes, no pointer and no padding: gtest lists a parameter by its raw
+// bytes, and ctest takes that listing as the test's name. A pointer here
+// would put a load address in the name, and padding uninitialised bytes.
 struct Case {
-  const char* name;
+  char name[18];
   bool reliable;
   bool member;  // node 0, the sender under test, is in the group
 };

@@ -28,7 +28,6 @@ struct Fixture {
   }
 
   Rng rng;
-  Rng coeffs{607};  // batch coefficients for the ticket checks
   identity::IdentityManager im;
   std::vector<crypto::SigningKey> keys;
   std::vector<NodeId> nodes;
@@ -42,7 +41,7 @@ TEST(LeaderElection, CompletesWithAllAnnouncements) {
   EXPECT_FALSE(st.complete());
   EXPECT_EQ(st.winner(), std::nullopt);
   for (std::uint32_t g = 0; g < 4; ++g) {
-    EXPECT_TRUE(st.add_announcement(f.announce(g), f.im, f.nodes[g], f.coeffs));
+    EXPECT_TRUE(st.add_announcement(f.announce(g), f.im, f.nodes[g]));
   }
   EXPECT_TRUE(st.complete());
   ASSERT_TRUE(st.winner().has_value());
@@ -54,10 +53,10 @@ TEST(LeaderElection, DeterministicAcrossObservers) {
   ElectionState b = f.make_state();
   // Feed the same announcements in different orders.
   for (std::uint32_t g : {0u, 1u, 2u, 3u}) {
-    EXPECT_TRUE(a.add_announcement(f.announce(g), f.im, f.nodes[g], f.coeffs));
+    EXPECT_TRUE(a.add_announcement(f.announce(g), f.im, f.nodes[g]));
   }
   for (std::uint32_t g : {3u, 1u, 0u, 2u}) {
-    EXPECT_TRUE(b.add_announcement(f.announce(g), f.im, f.nodes[g], f.coeffs));
+    EXPECT_TRUE(b.add_announcement(f.announce(g), f.im, f.nodes[g]));
   }
   EXPECT_EQ(a.winner(), b.winner());
   EXPECT_EQ(a.best().hash, b.best().hash);
@@ -69,7 +68,7 @@ TEST(LeaderElection, DifferentRoundsDifferentWinnersEventually) {
   for (Round r = 1; r <= 30 && winners.size() < 2; ++r) {
     ElectionState st(r, f.stake, f.expelled);
     for (std::uint32_t g = 0; g < 4; ++g) {
-      (void)st.add_announcement(f.announce(g, r), f.im, f.nodes[g], f.coeffs);
+      (void)st.add_announcement(f.announce(g, r), f.im, f.nodes[g]);
     }
     ASSERT_TRUE(st.winner().has_value());
     winners.insert(*st.winner());
@@ -82,14 +81,14 @@ TEST(LeaderElection, DifferentRoundsDifferentWinnersEventually) {
 TEST(LeaderElection, RejectsWrongRound) {
   Fixture f;
   ElectionState st = f.make_state(1);
-  EXPECT_FALSE(st.add_announcement(f.announce(0, 2), f.im, f.nodes[0], f.coeffs));
+  EXPECT_FALSE(st.add_announcement(f.announce(0, 2), f.im, f.nodes[0]));
 }
 
 TEST(LeaderElection, RejectsDuplicateAnnouncement) {
   Fixture f;
   ElectionState st = f.make_state();
-  EXPECT_TRUE(st.add_announcement(f.announce(0), f.im, f.nodes[0], f.coeffs));
-  EXPECT_FALSE(st.add_announcement(f.announce(0), f.im, f.nodes[0], f.coeffs));
+  EXPECT_TRUE(st.add_announcement(f.announce(0), f.im, f.nodes[0]));
+  EXPECT_FALSE(st.add_announcement(f.announce(0), f.im, f.nodes[0]));
 }
 
 TEST(LeaderElection, RejectsWrongTicketCount) {
@@ -97,7 +96,7 @@ TEST(LeaderElection, RejectsWrongTicketCount) {
   ElectionState st = f.make_state();
   // Claim 3 tickets while owning stake 2.
   const VrfAnnounceMsg msg = make_announcement(1, GovernorId(0), 3, f.keys[0]);
-  EXPECT_FALSE(st.add_announcement(msg, f.im, f.nodes[0], f.coeffs));
+  EXPECT_FALSE(st.add_announcement(msg, f.im, f.nodes[0]));
 }
 
 TEST(LeaderElection, RejectsForgedProof) {
@@ -105,17 +104,17 @@ TEST(LeaderElection, RejectsForgedProof) {
   ElectionState st = f.make_state();
   // Governor 0's announcement signed with governor 1's key.
   const VrfAnnounceMsg forged = make_announcement(1, GovernorId(0), 2, f.keys[1]);
-  EXPECT_FALSE(st.add_announcement(forged, f.im, f.nodes[0], f.coeffs));
+  EXPECT_FALSE(st.add_announcement(forged, f.im, f.nodes[0]));
 }
 
 TEST(LeaderElection, RejectsExpelledGovernor) {
   Fixture f;
   f.expelled.insert(GovernorId(2));
   ElectionState st = f.make_state();
-  EXPECT_FALSE(st.add_announcement(f.announce(2), f.im, f.nodes[2], f.coeffs));
+  EXPECT_FALSE(st.add_announcement(f.announce(2), f.im, f.nodes[2]));
   // Completes without the expelled member.
   for (std::uint32_t g : {0u, 1u, 3u}) {
-    EXPECT_TRUE(st.add_announcement(f.announce(g), f.im, f.nodes[g], f.coeffs));
+    EXPECT_TRUE(st.add_announcement(f.announce(g), f.im, f.nodes[g]));
   }
   EXPECT_TRUE(st.complete());
   EXPECT_NE(st.winner(), GovernorId(2));
@@ -126,7 +125,7 @@ TEST(LeaderElection, ZeroStakeGovernorCannotWin) {
   f.stake.set(GovernorId(3), 0);
   ElectionState st = f.make_state();
   for (std::uint32_t g : {0u, 1u, 2u}) {
-    EXPECT_TRUE(st.add_announcement(f.announce(g), f.im, f.nodes[g], f.coeffs));
+    EXPECT_TRUE(st.add_announcement(f.announce(g), f.im, f.nodes[g]));
   }
   EXPECT_TRUE(st.complete());
   EXPECT_NE(st.winner(), GovernorId(3));
@@ -148,7 +147,7 @@ TEST(LeaderElection, StakeProportionalityOverManyRounds) {
     for (std::uint32_t g = 0; g < 4; ++g) {
       (void)st.add_announcement(
           make_announcement(r, GovernorId(g), f.stake.of(GovernorId(g)), f.keys[g]),
-          f.im, f.nodes[g], f.coeffs);
+          f.im, f.nodes[g]);
     }
     if (st.winner() == GovernorId(0)) ++wins0;
   }
@@ -176,10 +175,10 @@ TEST(LeaderElection, TenTicketAnnouncementWithOneBadTicketAnywhereIsRejected) {
       ElectionState st = f.make_state();
       VrfAnnounceMsg bad = good;
       spoilers[s](bad.tickets[pos], pos);
-      EXPECT_FALSE(st.add_announcement(bad, f.im, f.nodes[0], f.coeffs))
+      EXPECT_FALSE(st.add_announcement(bad, f.im, f.nodes[0]))
           << "spoiler " << s << " at " << pos;
       EXPECT_EQ(st.announced(), 0u);
-      EXPECT_TRUE(st.add_announcement(good, f.im, f.nodes[0], f.coeffs));
+      EXPECT_TRUE(st.add_announcement(good, f.im, f.nodes[0]));
     }
   }
 }
@@ -195,7 +194,7 @@ TEST(LeaderElection, BatchedTicketsMatchPerTicketVrfVerify) {
     ElectionState::BestTicket ref;
     for (std::uint32_t g = 0; g < 4; ++g) {
       const VrfAnnounceMsg msg = f.announce(g, r);
-      ASSERT_TRUE(st.add_announcement(msg, f.im, f.nodes[g], f.coeffs));
+      ASSERT_TRUE(st.add_announcement(msg, f.im, f.nodes[g]));
       for (const VrfTicket& t : msg.tickets) {
         const auto out = crypto::vrf_verify(f.keys[g].public_key(),
                                             vrf_alpha(r, t.governor, t.unit), t.proof);

@@ -24,7 +24,7 @@ ScenarioConfig small_config() {
 TEST(SelfDriving, AutoRoundsGrowTheChainWithoutHarnessCalls) {
   Scenario s(small_config());
   const auto timing = s.timing();
-  for (auto& g : s.governors()) g->drive_rounds(1, timing);
+  for (auto& g : s.governors()) g->drive_rounds(1, s.queue().now(), timing);
 
   // Advance the clock three round spans: three blocks, one per round, on
   // every replica, even with no transactions injected (empty blocks keep the

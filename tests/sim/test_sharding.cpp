@@ -154,24 +154,5 @@ TEST(Sharding, SingleShardSliceMirrorsTheGlobalSummary) {
   EXPECT_TRUE(sum.anchors_ok);
 }
 
-TEST(Sharding, BoundedHistoryCapsTheRoundSeries) {
-  ScenarioConfig cfg = sharded_config();
-  cfg.rounds = 6;
-  cfg.bounded_history = 3;
-  Scenario s(cfg);
-  s.run();
-  // Only the newest 3 rounds are retained; the series still ends at round 6.
-  ASSERT_EQ(s.history().size(), 3u);
-  EXPECT_EQ(s.history().front().round, 4u);
-  EXPECT_EQ(s.history().back().round, 6u);
-
-  // Unbounded runs keep everything (the default).
-  ScenarioConfig full = sharded_config();
-  full.rounds = 6;
-  Scenario t(full);
-  t.run();
-  EXPECT_EQ(t.history().size(), 6u);
-}
-
 }  // namespace
 }  // namespace repchain::sim

@@ -97,7 +97,6 @@ ScenarioConfig sharded_config() {
   cfg.shard_count = 2;
   cfg.anchor_interval = 3;
   cfg.cross_shard_probability = 0.25;
-  cfg.bounded_history = 64;
   return cfg;
 }
 
@@ -109,7 +108,6 @@ TEST(SpecCodec, ShardFieldsRoundTrip) {
   EXPECT_EQ(back.shard_count, 2u);
   EXPECT_EQ(back.anchor_interval, 3u);
   EXPECT_EQ(back.cross_shard_probability, 0.25);
-  EXPECT_EQ(back.bounded_history, 64u);
   EXPECT_EQ(encode_config(back), blob);
 }
 
